@@ -1,9 +1,11 @@
 """Continuous-batching serving throughput vs sequential SpecEE serving.
 
-Serves one workload twice through the cost model: per-request sequential
-decoding (the merge of every request's own ledger) and continuous batching
-over the paged KV cache (shared weight passes per decoder layer).  Decode is
-weight-bandwidth-bound, so batching must deliver >= 2x modelled tokens/s.
+Serves one closed batch (every request arrives at t=0, whole-prompt prefill)
+through the serving engine and prices it twice on the modelled clock:
+per-request sequential decoding (the merge of every request's own ledger)
+and continuous batching over the paged KV cache (shared weight passes per
+decoder layer, priced tick by tick).  Decode is weight-bandwidth-bound, so
+batching must deliver >= 2x modelled tokens/s.
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_serving_throughput.py [--json OUT]
 """
@@ -12,7 +14,6 @@ import json
 
 from repro.data.corpus import generate_prompts
 from repro.eval.harness import build_rig
-from repro.config import get_model_spec
 from repro.serving import Request
 
 
@@ -29,13 +30,16 @@ def run_serving_benchmark(
 ):
     rig = build_rig(model, seed=seed, train_prompts=6, train_tokens=30,
                     predictor_hidden=128, epochs=10)
-    serving = rig.serving_engine(
-        batch_capacity=batch_capacity, kv_blocks=kv_blocks, block_size=block_size,
+    serving = rig.async_serving_engine(
+        device=device, framework=framework, batch_capacity=batch_capacity,
+        kv_blocks=kv_blocks, block_size=block_size, chunk_prefill_tokens=None,
     )
     prompts = generate_prompts(n_requests, rig.model.vocab_size, seed=seed + 7)
     requests = [Request(i, prompt, max_new_tokens) for i, prompt in enumerate(prompts)]
     report = serving.run(requests)
-    priced = report.priced_speedup(get_model_spec(model), device, framework)
+    priced = {"serving_tps": report.throughput_tps,
+              "sequential_tps": report.sequential_tps,
+              "speedup": report.speedup}
     return report, priced
 
 

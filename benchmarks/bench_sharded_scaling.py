@@ -1,8 +1,9 @@
 """Sharded serving scaling: TP x PP curves and the all-reduce crossover.
 
-One closed-batch serving run per workload is re-priced on a sweep of
-modelled clusters (the recorded per-tick layer batches are re-sharded for
-each shape, so every point serves token-identical work):
+Each workload is served as a closed batch (every request at t=0,
+whole-prompt prefill) once per modelled cluster shape, every tick priced as
+it runs by that shape's cluster model; per-request tokens are asserted
+identical across shapes, so every point serves the same work:
 
 * **decode_bound** — short prompts, long decode: weight-bandwidth-bound,
   where tensor parallelism pays (weight traffic divides ``tp``) and pipeline
@@ -22,7 +23,6 @@ Run standalone:  PYTHONPATH=src python benchmarks/bench_sharded_scaling.py [--js
 
 import json
 
-from repro.config import get_model_spec
 from repro.data.corpus import generate_prompts
 from repro.distributed import make_cluster
 from repro.eval.harness import build_rig
@@ -46,29 +46,29 @@ def run_sharded_scaling(
     block_size: int = 16,
     seed: int = 0,
 ):
-    """Serve each workload once, then price it on every cluster shape."""
+    """Serve each workload on every cluster shape of the sweep."""
     rig = build_rig(model, seed=seed, train_prompts=6, train_tokens=30,
                     predictor_hidden=128, epochs=10)
-    spec = get_model_spec(model)
     results = {}
     for name, (prompt_range, max_new, n_requests) in WORKLOADS.items():
-        serving = rig.serving_engine(
-            batch_capacity=batch_capacity, kv_blocks=kv_blocks,
-            block_size=block_size,
-        )
         prompts = generate_prompts(n_requests, rig.model.vocab_size,
                                    length_range=prompt_range, seed=seed + 7)
-        report = serving.run(
-            [Request(i, p, max_new) for i, p in enumerate(prompts)])
+        served = []  # per-request tokens of every shape served so far
 
         def tps(tp, pp, tp_link="nvlink"):
-            if tp == 1 and pp == 1:
-                priced = report.priced_speedup(spec, device, framework)
-            else:
-                cluster = make_cluster(device, tp=tp, pp=pp, tp_link=tp_link)
-                priced = report.priced_speedup(spec, device, framework,
-                                               cluster=cluster)
-            return round(priced["serving_tps"], 2)
+            serving = rig.async_serving_engine(
+                device=device, framework=framework,
+                batch_capacity=batch_capacity, kv_blocks=kv_blocks,
+                block_size=block_size, chunk_prefill_tokens=None,
+                cluster=make_cluster(device, tp=tp, pp=pp, tp_link=tp_link),
+            )
+            report = serving.run(
+                [Request(i, p, max_new) for i, p in enumerate(prompts)])
+            served.append({i: r.tokens for i, r in report.results.items()})
+            if served[-1] != served[0]:
+                raise AssertionError(
+                    f"{name}: tp={tp} pp={pp} ({tp_link}) changed the tokens")
+            return round(report.throughput_tps, 2)
 
         curves = {
             link: {f"tp{tp}": tps(tp, 1, link) for tp in TP_SWEEP}

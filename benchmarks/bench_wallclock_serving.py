@@ -2,8 +2,8 @@
 through the real numpy transformer.
 
 Unlike every other benchmark in this directory, the headline numbers here
-are *stopwatch* tokens/s, not roofline-priced ones: the same ragged request
-batch is served twice through :class:`~repro.serving.ServingEngine` over
+are *stopwatch* tokens/s, not roofline-priced ones: the same ragged closed
+batch is served twice through :class:`~repro.serving.AsyncServingEngine` over
 :class:`~repro.model.transformer_backend.TransformerLayeredLM` — once with
 the per-sequence decode loop, once with the batched fast path (stacked QKV
 GEMMs, shared weight passes, shrinking batches on early exit) — and the
@@ -53,9 +53,9 @@ def run_wallclock_benchmark(seed: int = 0, repeats: int = 2) -> dict:
         for batched in (True, False):
             best_tps, tokens = 0.0, None
             for _ in range(repeats):
-                serving = rig.serving_engine(
+                serving = rig.async_serving_engine(
                     batch_capacity=batch, kv_blocks=2048, block_size=16,
-                    batched=batched,
+                    batched=batched, chunk_prefill_tokens=None,
                 )
                 report = serving.run(_requests(batch, BENCH_CFG.vocab_size))
                 best_tps = max(best_tps, report.measured_tps)
@@ -102,9 +102,9 @@ def run_predictor_path_benchmark(rig, repeats: int = 2) -> dict:
     for vectorized in (True, False):
         best_tps, tokens = 0.0, None
         for _ in range(repeats):
-            serving = rig.serving_engine(
+            serving = rig.async_serving_engine(
                 scheduler_kind="all", batch_capacity=16, kv_blocks=2048,
-                block_size=16, batched=True,
+                block_size=16, batched=True, chunk_prefill_tokens=None,
             )
             serving.engine.batched_predictors = vectorized
             report = serving.run(_requests(16, BENCH_CFG.vocab_size))

@@ -1,37 +1,37 @@
 """Continuous-batching demo: many requests through one SpecEE engine.
 
-Submits a burst of mixed-length requests to the serving engine, watches the
-scheduler join/retire sequences over a deliberately small paged-KV pool, and
-verifies the serving outputs are token-identical to unbatched decoding —
-the invariant the serving test suite enforces.
+Hands a closed batch of mixed-length requests (all arriving at t=0) to the
+serving engine, watches it join/retire sequences over a deliberately small
+paged-KV pool, and verifies the serving outputs are token-identical to
+unbatched decoding — the invariant the serving test suite enforces.
 
 Run:  PYTHONPATH=src python examples/continuous_batching.py
 """
 
-from repro import Request, build_rig, get_model_spec
+from repro import Request, build_rig
 
 
 def main() -> None:
     rig = build_rig("llama2-7b", train_prompts=6, train_tokens=30,
                     predictor_hidden=128, epochs=10)
-    # A small pool (32 blocks of 8 tokens) forces requests to wait in queue
-    # until retiring sequences free their blocks.
-    serving = rig.serving_engine(batch_capacity=4, kv_blocks=32, block_size=8)
+    # A small pool (32 blocks of 8 tokens) under reserve admission forces
+    # requests to wait in queue until retiring sequences free their blocks.
+    serving = rig.async_serving_engine(
+        batch_capacity=4, kv_blocks=32, block_size=8, admission="reserve",
+        chunk_prefill_tokens=None)
     requests = [Request(i, [i + 2, i + 5, (3 * i) % 100 + 1], 16 + 8 * (i % 4))
                 for i in range(10)]
     report = serving.run(requests)
 
     print("continuous batching over a 32-block paged KV pool:")
     print(f"  {len(report.results)} requests, {report.total_tokens} tokens, "
-          f"{report.n_steps} scheduler steps")
+          f"{report.n_steps} scheduler ticks")
     print(f"  avg batch occupancy {report.avg_batch_occupancy:.2f} of 4, "
           f"peak KV blocks {report.peak_kv_blocks} of 32")
-    print(f"  mean queue wait {report.mean_queue_wait_steps:.1f} steps, "
-          f"p95 latency {report.p95_latency_steps():.1f} steps")
-
-    priced = report.priced_speedup(get_model_spec("llama2-7b"), "a100-80g", "vllm")
-    print(f"  modelled throughput {priced['sequential_tps']:.0f} -> "
-          f"{priced['serving_tps']:.0f} tokens/s ({priced['speedup']:.2f}x)")
+    print(f"  mean latency {report.mean_latency_s:.3f} s, "
+          f"p95 latency {report.p95_latency_s():.3f} s (modelled clock)")
+    print(f"  modelled throughput {report.sequential_tps:.0f} -> "
+          f"{report.throughput_tps:.0f} tokens/s ({report.speedup:.2f}x)")
 
     sequential = rig.specee_engine()
     identical = all(

@@ -33,12 +33,14 @@ from repro.model import (
     TreeDrafter,
     get_profile,
 )
-from repro.serving import PagedKVCache, Request, ServingEngine, ServingReport
+from repro.serving import AsyncServingEngine, AsyncServingReport, PagedKVCache, Request
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AdaInferEngine",
+    "AsyncServingEngine",
+    "AsyncServingReport",
     "DATASETS",
     "DEVICES",
     "DenseEngine",
@@ -50,8 +52,6 @@ __all__ = [
     "PagedKVCache",
     "PredictorBank",
     "Request",
-    "ServingEngine",
-    "ServingReport",
     "SimDims",
     "SpecEEConfig",
     "SpecEEEngine",

@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "policy flags and their precedence:\n"
             "  --sched    orders service *within* one replica (admission/resume\n"
-            "             order, preemption victims); always in effect on the\n"
-            "             async paths (--trace on, or any fleet run).\n"
+            "             order, preemption victims); in effect on every\n"
+            "             path (closed batch, --trace, any fleet run).\n"
             "  --route    picks *which* replica each request lands on; only in\n"
             "             effect on fleet runs (--replicas > 1 or --clients\n"
             "             closed:M), after router-level rejection and before\n"
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  --control  adapts *how* each admitted request decodes (exit\n"
             "             threshold / draft length per tick from observed\n"
             "             load); applied last, inside the replica, on the same\n"
-            "             async paths as --sched.  'static' is token-identical\n"
+            "             paths as --sched.  'static' is token-identical\n"
             "             to the pre-controller engine; 'pressure' and\n"
             "             'bandit' trade exit depth against load.\n"
             "  --faults   injects replica failures (crash/restart/drain,\n"
@@ -104,9 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
             "             --sched orders service, on every serving path\n"
             "             (closed batch, --trace, fleets).  Tokens are\n"
             "             identical with it on or off.\n"
-            "  A closed batch (--trace off, --replicas 1, --clients open) uses\n"
-            "  none of --sched/--route/--control/--faults.  --control-seed\n"
-            "  seeds the bandit only.\n"
+            "  --control-seed seeds the bandit only.\n"
         ))
     serve.add_argument("--backend", default="synthetic",
                        choices=["synthetic", "transformer"],
@@ -125,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["hf", "vllm", "awq", "flashattention"])
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--out", default=None, help="write the report to a file")
-    # Async trace-driven serving (ignored when --trace off).
+    # Arrival trace; "off" is the closed batch (every request at t=0).
     serve.add_argument("--trace", default="off",
                        choices=["off", "poisson", "bursty", "chat"],
-                       help="drive an async arrival trace instead of a closed batch")
+                       help="drive an arrival trace instead of a closed batch "
+                            "(off = all --requests arrive at t=0)")
     serve.add_argument("--rate", type=float, default=10.0,
                        help="poisson arrival rate, requests per modelled second "
                             "(chat: session-opening rate)")
@@ -161,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(CONTROL_POLICIES),
                        help="load-adaptive speculation control: per-request "
                             "exit-threshold/draft-length actuation from "
-                            "observed load (async paths only)")
+                            "observed load")
     serve.add_argument("--control-seed", type=int, default=0,
                        help="seed for the bandit control policy's Thompson "
                             "sampling stream")
@@ -474,8 +473,10 @@ def _cmd_serve_fleet(args, rig, out: IO[str]) -> int:
 
 
 def _cmd_serve_trace(args, rig, out: IO[str]) -> int:
-    """Async trace-driven serving: arrivals, SLOs, preemption, chunking."""
-    from repro.serving import bursty_trace, chat_trace, poisson_trace
+    """Single-engine serving: a closed batch (``--trace off``, every request
+    at t=0) or an arrival trace, with SLOs, preemption and chunking."""
+    from repro.data.corpus import generate_prompts
+    from repro.serving import Request, bursty_trace, chat_trace, poisson_trace
 
     start = time.perf_counter()
     try:
@@ -493,7 +494,12 @@ def _cmd_serve_trace(args, rig, out: IO[str]) -> int:
         # Deadlines scale from the same latency model that prices the run.
         trace_kwargs = _trace_kwargs(
             args, rig, serving.latency.full_depth_token_time())
-        if args.trace == "poisson":
+        if args.trace == "off":
+            prompts = generate_prompts(args.requests, rig.model.vocab_size,
+                                       seed=args.seed + 7)
+            trace = [Request(i, prompt, args.max_new_tokens)
+                     for i, prompt in enumerate(prompts)]
+        elif args.trace == "poisson":
             trace = poisson_trace(args.requests, args.rate, **trace_kwargs)
         elif args.trace == "chat":
             trace = chat_trace(args.sessions, tenants=args.tenants,
@@ -545,8 +551,9 @@ def _cmd_serve_trace(args, rig, out: IO[str]) -> int:
         ])
     served = (f"tiny-transformer (priced as {args.model})"
               if args.backend == "transformer" else args.model)
+    workload = "closed batch" if args.trace == "off" else f"{args.trace} trace"
     title = (f"async serving: {served} @ {args.device}/{args.framework}, "
-             f"tp={args.tp} pp={args.pp}, {args.trace} trace, "
+             f"tp={args.tp} pp={args.pp}, {workload}, "
              f"{args.admission} admission, "
              f"{args.preemption} preemption, chunk={args.chunk_prefill}, "
              f"sched={args.sched}, control={args.control}")
@@ -556,9 +563,7 @@ def _cmd_serve_trace(args, rig, out: IO[str]) -> int:
 
 
 def _cmd_serve(args, out: IO[str]) -> int:
-    from repro.data.corpus import generate_prompts
     from repro.eval.harness import build_rig, build_transformer_rig
-    from repro.serving import Request
 
     # Fault injection is a fleet concern (health, failover, routing), so a
     # non-empty --faults plan routes through the fleet path even at width 1.
@@ -578,63 +583,7 @@ def _cmd_serve(args, out: IO[str]) -> int:
                         predictor_hidden=128, epochs=10)
     if fleet_mode:
         return _cmd_serve_fleet(args, rig, out)
-    if args.trace != "off":
-        return _cmd_serve_trace(args, rig, out)
-    start = time.perf_counter()
-    try:
-        serving = rig.serving_engine(
-            scheduler_kind=args.scheduler, batch_capacity=args.batch_capacity,
-            kv_blocks=args.kv_blocks, block_size=args.block_size,
-            cluster=_cluster_from_args(args),
-            prefix_share=args.prefix_share,
-        )
-        prompts = generate_prompts(args.requests, rig.model.vocab_size, seed=args.seed + 7)
-        requests = [Request(i, prompt, args.max_new_tokens)
-                    for i, prompt in enumerate(prompts)]
-        report = serving.run(requests)
-    except (MemoryError, ValueError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    priced = report.priced_speedup(get_model_spec(args.model), args.device, args.framework)
-    rows = [
-        ["requests served", len(report.results)],
-        ["tokens generated", report.total_tokens],
-        ["scheduler steps", report.n_steps],
-        ["avg batch occupancy", f"{report.avg_batch_occupancy:.2f}"],
-        ["peak KV blocks", f"{report.peak_kv_blocks} / {serving.cache.allocator.n_blocks}"],
-        ["mean queue wait (steps)", f"{report.mean_queue_wait_steps:.1f}"],
-        ["mean latency (steps)", f"{report.mean_latency_steps:.1f}"],
-        ["p95 latency (steps)", f"{report.p95_latency_steps():.1f}"],
-        ["sequential tokens/s", f"{priced['sequential_tps']:.1f}"],
-        ["serving tokens/s", f"{priced['serving_tps']:.1f}"],
-        ["throughput speedup", f"{priced['speedup']:.2f}x"],
-    ]
-    if args.prefix_share:
-        rows.extend([
-            ["prefix hit rate", f"{report.prefix_hit_rate:.3f}"],
-            ["prompt tokens adopted", report.prefix_matched_tokens],
-            ["copy-on-write clones", report.cow_copies],
-        ])
-    if args.backend == "transformer":
-        # Real backend: measured wall-clock numbers next to the modelled ones.
-        rows.extend([
-            ["batched decode", "on" if report.batched_decode else "off"],
-            ["wall time (s)", f"{report.wall_time_s:.3f}"],
-            ["measured tokens/s (wall-clock)", f"{report.measured_tps:.1f}"],
-        ])
-    # The modelled rows follow the repo's "real algorithms, modelled
-    # hardware" convention: the ledger records this run's schedule and the
-    # roofline prices it as --model on --device, whichever backend executed.
-    served = (f"tiny-transformer (priced as {args.model})"
-              if args.backend == "transformer" else args.model)
-    title = (f"continuous batching: {args.backend} backend, "
-             f"{served} @ {args.device}/{args.framework}, "
-             f"tp={args.tp} pp={args.pp}, {args.scheduler} scheduler, "
-             f"capacity {args.batch_capacity}")
-    print(render_table(["metric", "value"], rows, title=title), file=out)
-    print(f"[serve completed in {elapsed:.1f}s]", file=out)
-    return 0
+    return _cmd_serve_trace(args, rig, out)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

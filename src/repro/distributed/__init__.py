@@ -25,7 +25,6 @@ from repro.distributed.sharding import (
     record_decode_batches,
     record_prefill_allreduce,
     record_tick_bubble,
-    shard_serving_ledger,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "record_decode_batches",
     "record_prefill_allreduce",
     "record_tick_bubble",
-    "shard_serving_ledger",
 ]

@@ -18,6 +18,10 @@ price it:
   ``(pp - 1) * ceil(L_exec / pp)`` idle layer-slots, where ``L_exec`` is the
   deepest layer the tick executed.  Units carry the average micro-batch so
   the bubble prices as the layer time the idle stage failed to overlap.
+  Prefill work runs the full stack, so a tick carrying any prefill fills
+  and drains all ``L`` layers, sized by its prefill plus decode
+  layer-tokens: :func:`record_tick_bubble`, called once per tick by the
+  serving engine, is the only definition of the bubble.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.distributed.cluster import ClusterSpec
 from repro.hardware.ledger import CostLedger, Event
 
 __all__ = ["record_decode_batches", "record_prefill_allreduce",
-           "record_tick_bubble", "shard_serving_ledger"]
+           "record_tick_bubble"]
 
 
 def record_decode_batches(
@@ -83,45 +87,3 @@ def record_tick_bubble(
     m = cluster.micro_batch_count(max(batch, 1))
     avg_micro_batch = layer_tokens / deepest_layer / m
     tick.add(Event.PIPELINE_BUBBLE, calls=slots, units=slots * avg_micro_batch)
-
-
-def shard_serving_ledger(
-    merged: CostLedger,
-    tick_batches: Sequence[Sequence[int]],
-    n_steps: int,
-    cluster: ClusterSpec,
-) -> CostLedger:
-    """Sharded serving-side ledger for a closed-batch run.
-
-    The sharded counterpart of the serving engine's rebatching: per-sequence
-    ``DECODER_LAYER`` calls are replaced by micro-batched
-    ``BATCH_DECODER_LAYER`` executions from the recorded per-tick layer
-    batches, with ``ALLREDUCE`` events for every sharded layer and prefill
-    execution and one ``PIPELINE_BUBBLE`` per decode tick.  Total layer
-    tokens are asserted conserved, so sharding can never hide or invent
-    work.
-    """
-    total_units = sum(sum(b) for b in tick_batches)
-    if total_units != merged.calls(Event.DECODER_LAYER):
-        raise AssertionError(
-            f"sharded layer-tokens {total_units} != per-sequence layer calls "
-            f"{merged.calls(Event.DECODER_LAYER)}"
-        )
-    out = CostLedger()
-    for kind in merged.kinds():
-        if kind == Event.DECODER_LAYER:
-            continue
-        out.add(kind, calls=merged.calls(kind), units=merged.units(kind))
-    record_prefill_allreduce(
-        out, merged.calls(Event.PREFILL_LAYER), merged.units(Event.PREFILL_LAYER),
-        cluster,
-    )
-    for batches in tick_batches:
-        record_decode_batches(out, list(batches), cluster)
-        if batches:
-            record_tick_bubble(out, len(batches), float(sum(batches)),
-                               batches[0], cluster)
-    out.tokens_generated = merged.tokens_generated
-    out.prompt_tokens = merged.prompt_tokens
-    out.steps = n_steps
-    return out

@@ -155,23 +155,6 @@ class Rig:
         scheduler = self.make_scheduler(scheduler_kind, cfg, offline_top_k)
         return SpecEEEngine(self.model, self.speculator, self.bank, cfg, scheduler=scheduler)
 
-    def serving_engine(
-        self,
-        scheduler_kind: str = "two_level",
-        config: Optional[SpecEEConfig] = None,
-        offline_top_k: int = 4,
-        **serving_kwargs,
-    ) -> "ServingEngine":
-        """Continuous-batching server over this rig's SpecEE engine.  Each
-        admitted sequence gets its own predictor scheduler built from the
-        rig's offline exit profile, so batched outputs match unbatched ones."""
-        from repro.serving.engine import ServingEngine
-
-        cfg = config or SpecEEConfig(scheduler=scheduler_kind)
-        engine = self.specee_engine(scheduler_kind, cfg, offline_top_k)
-        factory = lambda: self.make_scheduler(scheduler_kind, cfg, offline_top_k)
-        return ServingEngine(engine, scheduler_factory=factory, **serving_kwargs)
-
     def async_serving_engine(
         self,
         scheduler_kind: str = "two_level",

@@ -1,11 +1,13 @@
 """Trace-driven async serving: arrivals, preemption, and chunked prefill.
 
-:class:`AsyncServingEngine` upgrades the closed-batch :class:`ServingEngine`
-to an open-loop, event-driven server.  Requests become visible at their
+:class:`AsyncServingEngine` is the repo's one serving loop: an open-loop,
+event-driven continuous-batching server.  Requests become visible at their
 ``arrival_s`` timestamps on a modelled clock; each scheduler iteration
 ("tick") is priced through the roofline :class:`LatencyModel` and advances
 the clock by its own cost, so SLO attainment and tokens/s come out of the
-same physics that prices everything else in this repo.
+same physics that prices everything else in this repo.  A closed batch is
+just a trace whose requests all arrive at ``t=0`` (the :class:`Request`
+default): hand :meth:`AsyncServingEngine.run` a plain request list.
 
 Three mechanisms replace PR 1's conservative worst-case admission:
 
@@ -77,7 +79,7 @@ import numpy as np
 
 from repro.config import ModelSpec, get_model_spec
 from repro.core.engine import GenerationResult, SpecEEEngine
-from repro.core.scheduling import Scheduler
+from repro.core.scheduling import Scheduler, make_scheduler
 from repro.errors import KVCorruptionError
 from repro.hardware.latency import LatencyModel
 from repro.hardware.ledger import CostLedger, Event
@@ -85,14 +87,15 @@ from repro.model.base import LMState
 from repro.serving.control import (
     ControlPolicy, LoadSignal, SpeculationController,
 )
-from repro.serving.engine import build_paged_cache, default_scheduler_factory
 from repro.serving.faults import ReplicaFaultView
+from repro.serving.paged_kv import PagedKVCache
 from repro.serving.request import AdmissionPolicy, Request
 from repro.serving.scheduler import SchedulingPolicy, make_scheduling_policy
 
 __all__ = [
     "AsyncSequence", "AsyncRequestMetrics", "AsyncServingReport",
     "AsyncServingEngine", "CrashSalvage", "DENSE_THRESHOLD",
+    "build_paged_cache", "default_scheduler_factory",
 ]
 
 ADMISSION_MODES = ("optimistic", "reserve")
@@ -102,6 +105,48 @@ PREEMPTION_MODES = ("auto", "swap", "recompute", "never")
 #: sequence turns a degraded-mode tick into dense full-depth decode, which is
 #: token-identical by the SpecEE verification guarantee.
 DENSE_THRESHOLD = 2.0
+
+
+def build_paged_cache(
+    engine: SpecEEEngine, kv_blocks: int, block_size: int,
+    n_kv_heads: Optional[int] = None, n_stages: int = 1,
+    prefix_share: bool = False,
+) -> Union[PagedKVCache, "ShardedPagedKV"]:
+    """Paged cache sized so one KV entry covers the engine's hidden state.
+
+    With ``n_stages > 1`` the cache is a per-pipeline-stage
+    :class:`~repro.distributed.ShardedPagedKV` of ``kv_blocks`` blocks *per
+    stage device*; otherwise a single-pool :class:`PagedKVCache`.
+    ``prefix_share`` enables the copy-on-write shared-prefix radix tree
+    (prompts become paged and reusable across requests).
+    """
+    hidden = engine.model.hidden_dim
+    if n_kv_heads is None:
+        n_kv_heads = 4 if hidden % 4 == 0 else 1
+    if hidden % n_kv_heads != 0:
+        raise ValueError(f"n_kv_heads={n_kv_heads} must divide hidden_dim={hidden}")
+    if n_stages > 1:
+        from repro.distributed.paged import ShardedPagedKV
+
+        return ShardedPagedKV(
+            n_stages=n_stages, n_blocks=kv_blocks, block_size=block_size,
+            n_kv_heads=n_kv_heads, head_dim=hidden // n_kv_heads,
+            prefix_share=prefix_share,
+        )
+    return PagedKVCache(
+        n_blocks=kv_blocks, block_size=block_size,
+        n_kv_heads=n_kv_heads, head_dim=hidden // n_kv_heads,
+        prefix_share=prefix_share,
+    )
+
+
+def default_scheduler_factory(engine: SpecEEEngine) -> Callable[[], Scheduler]:
+    """Fresh per-sequence predictor schedulers matching the engine config."""
+    cfg = engine.config
+    return lambda: make_scheduler(
+        cfg.scheduler, engine.model.n_layers,
+        window=cfg.context_window, vicinity=cfg.layer_vicinity,
+    )
 
 
 @dataclass
@@ -608,12 +653,11 @@ class AsyncServingEngine:
             self.running.append(slot)
 
     def _admissible(self, request: Request) -> bool:
-        if self._live_count() >= self.policy.batch_capacity:
-            return False
         if self.admission == "reserve":
-            need = self.policy.blocks_needed(request)
-            return self.reserved_blocks + need <= self.policy.n_blocks
-        return self.cache.allocator.free_blocks >= 1
+            return self.policy.admissible(
+                request, self.reserved_blocks, self._live_count())
+        return (self._live_count() < self.policy.batch_capacity
+                and self.cache.allocator.free_blocks >= 1)
 
     def _admit(self, report: AsyncServingReport,
                tick: CostLedger) -> List[AsyncSequence]:
@@ -993,8 +1037,17 @@ class AsyncServingEngine:
         The run then proceeds through :meth:`advance_tick` calls until
         :attr:`has_work` clears (what :meth:`run` does in a loop); a router
         can interleave those calls across replicas and :meth:`submit` more
-        requests while the run is live.
+        requests while the run is live.  Request ids must be unique within
+        the trace (``ValueError`` names the first repeat before any tick
+        runs; the paged cache keys sequences by id).
         """
+        seen: set = set()
+        for request in trace:
+            if request.request_id in seen:
+                raise ValueError(
+                    f"request id {request.request_id} appears more than once "
+                    "in the trace")
+            seen.add(request.request_id)
         self.pending = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
         self.report = AsyncServingReport()
         self.waiting, self.running, self.preempted = [], [], []
@@ -1029,11 +1082,24 @@ class AsyncServingEngine:
         hands over a sequence rescued from a crashed replica: on admission
         the slot is adopted as-is (decoded tokens, predictor scheduler and
         model state intact) and resumed through the deterministic recompute
-        path instead of a fresh prefill."""
+        path instead of a fresh prefill.  An id this engine still holds
+        (pending, waiting, running or preempted) raises ``ValueError``; one
+        that has left the engine (finished, rejected, crashed away) may be
+        submitted again — the failover retry path."""
+        if request.request_id in self._live_ids():
+            raise ValueError(
+                f"request id {request.request_id} is already in flight on "
+                "this engine")
         if salvage is not None:
             self._salvage[request.request_id] = salvage
         bisect.insort(self.pending, request,
                       key=lambda r: (r.arrival_s, r.request_id))
+
+    def _live_ids(self) -> set:
+        """Ids of every request the engine currently holds."""
+        ids = {r.request_id for r in self.pending + self.waiting}
+        ids.update(s.request_id for s in self.running + self.preempted)
+        return ids
 
     @property
     def has_work(self) -> bool:

@@ -1,20 +1,19 @@
-"""Serving requests, the FIFO queue and the KV admission policy.
+"""Serving requests and the KV admission policy.
 
-A :class:`Request` is one user generation job.  :class:`RequestQueue` is the
-waiting room; :class:`AdmissionPolicy` decides when the head of the queue may
-join the running batch.  The policy is deliberately conservative — vLLM-style
-*reservation*: a request is admitted only if its worst-case paged-KV block
-need fits in the unreserved pool, so a running sequence can never hit
-``MemoryError`` mid-decode and no preemption/recompute machinery is needed.
+A :class:`Request` is one user generation job.  :class:`AdmissionPolicy`
+sizes a request against the paged-KV pool: it is the single source of truth
+for oversize rejection, and its vLLM-style worst-case *reservation* is the
+``admission="reserve"`` rule of the serving engine — a request is admitted
+only if its worst-case block need fits in the unreserved pool, so a running
+sequence can never hit ``MemoryError`` mid-decode.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
-__all__ = ["Request", "RequestQueue", "AdmissionPolicy"]
+__all__ = ["Request", "AdmissionPolicy"]
 
 
 @dataclass
@@ -74,44 +73,6 @@ class Request:
         return self.arrival_s + self.slo_s
 
 
-class RequestQueue:
-    """FIFO queue of pending requests with duplicate-id rejection."""
-
-    def __init__(self, requests: Sequence[Request] = ()):
-        """Create the queue, optionally pre-submitting ``requests``."""
-        self._queue: Deque[Request] = deque()
-        self._ids: set[int] = set()
-        for request in requests:
-            self.submit(request)
-
-    def submit(self, request: Request) -> None:
-        """Append ``request``; a duplicate id raises ``ValueError``."""
-        if request.request_id in self._ids:
-            raise ValueError(f"request id {request.request_id} already queued")
-        self._ids.add(request.request_id)
-        self._queue.append(request)
-
-    def peek(self) -> Request:
-        """The head request without removing it."""
-        if not self._queue:
-            raise IndexError("peek on empty request queue")
-        return self._queue[0]
-
-    def pop(self) -> Request:
-        """Remove and return the head request."""
-        if not self._queue:
-            raise IndexError("pop on empty request queue")
-        request = self._queue.popleft()
-        self._ids.discard(request.request_id)
-        return request
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
-
-
 @dataclass
 class AdmissionPolicy:
     """Worst-case KV reservation over a fixed block pool.
@@ -150,9 +111,9 @@ class AdmissionPolicy:
 
     def oversize_reason(self, request: Request) -> Optional[str]:
         """Why ``request`` could never fit even in an empty pool, or None.
-        The single source of truth for oversize rejection — submit-time
-        errors, admission errors and async rejections all phrase it from
-        this."""
+        The single source of truth for oversize rejection — the engine's
+        arrival-time rejections, the router's and :meth:`admissible` all
+        phrase it from this."""
         need = self.blocks_needed(request)
         if need <= self.n_blocks:
             return None

@@ -1,215 +1,26 @@
-"""Continuous batching over the SpecEE engine (Kwon et al., 2023 style).
+"""Scheduling policies: who is served first, and who is evicted first.
 
-Every global step ("tick") the scheduler
-
-1. **joins** — admits queued requests while the batch has slots and the paged
-   KV pool can absorb their worst-case block need,
-2. **advances** — runs every live sequence one token through
-   :meth:`SpecEEEngine.step` with its own predictor scheduler (per-sequence
-   early-exit depth and online exit history stay isolated, which is what
-   makes batched output token-identical to unbatched decoding), appending
-   each committed token's exit hidden state to the paged KV cache,
-3. **retires** — finishes sequences that reached their token budget and
-   frees their KV blocks, making room for the next admissions.
-
-Depth bookkeeping for the hardware model: within one tick, decoder layer
-``l`` is executed once for the set of sequences whose exit depth exceeds
-``l`` — weight traffic is shared, per-sequence FLOPs are marginal.  The tick
-reports those per-layer batch sizes so the serving engine can ledger them as
-``BATCH_DECODER_LAYER`` events.
+:class:`~repro.serving.async_engine.AsyncServingEngine` delegates every
+ordering decision — admission order, resume/prefill service order, and the
+preemption victim when the KV pool runs dry — to a pluggable
+:class:`SchedulingPolicy`.  ``fifo_priority`` is priority-then-arrival,
+``edf`` is deadline-driven with an SLO-aware victim picker, and
+``fair_tenant`` balances decoded tokens across tenants.  Policies only rank;
+the engine owns the batch, the paged KV pool and the clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from repro.core.engine import GenerationResult, SpecEEEngine, StepRecord
-from repro.core.scheduling import Scheduler
-from repro.model.base import LMState
-from repro.serving.paged_kv import PagedKVCache
-from repro.serving.request import AdmissionPolicy, Request, RequestQueue
+from repro.serving.request import Request
 
 __all__ = [
-    "SequenceSlot", "TickOutcome", "ContinuousBatchScheduler",
     "SchedulingPolicy", "FifoPriorityPolicy", "EdfPolicy", "FairTenantPolicy",
     "SCHEDULING_POLICIES", "make_scheduling_policy",
 ]
 
 
-@dataclass
-class SequenceSlot:
-    """One running sequence: request plus all its per-sequence state."""
-
-    request: Request
-    state: LMState
-    result: GenerationResult
-    scheduler: Scheduler
-    admitted_step: int
-    blocks_reserved: int
-    finished_step: int = -1
-
-    @property
-    def done(self) -> bool:
-        """Whether the sequence has generated its full token budget."""
-        return len(self.result.tokens) >= self.request.max_new_tokens
-
-
-@dataclass
-class TickOutcome:
-    """What one global step did: who ran how deep, who finished."""
-
-    step: int
-    depths: List[int] = field(default_factory=list)  # executed layers per sequence
-    records: List[StepRecord] = field(default_factory=list)
-    admitted: List[int] = field(default_factory=list)  # request ids
-    retired: List[SequenceSlot] = field(default_factory=list)
-    kv_blocks_in_use: int = 0  # sampled before retirement frees blocks
-
-    @property
-    def occupancy(self) -> int:
-        """Sequences that decoded this tick."""
-        return len(self.depths)
-
-    def layer_batches(self) -> List[int]:
-        """Batch size of each shared decoder-layer execution this tick:
-        entry ``l`` counts the sequences still alive at depth ``l``."""
-        if not self.depths:
-            return []
-        return [sum(1 for d in self.depths if d > l) for l in range(max(self.depths))]
-
-
-class ContinuousBatchScheduler:
-    """Joins/retires sequences every step and drives the batched decode."""
-
-    def __init__(
-        self,
-        engine: SpecEEEngine,
-        cache: PagedKVCache,
-        policy: AdmissionPolicy,
-        scheduler_factory: Callable[[], Scheduler],
-        batched: Optional[bool] = None,
-    ):
-        """Wire the scheduler to one engine, KV cache and admission policy.
-
-        ``batched`` selects the decode inner loop: ``True`` drives
-        :meth:`SpecEEEngine.step_batch` (one shared weight pass per layer per
-        tick — the wall-clock fast path for real backends), ``False`` the
-        per-sequence :meth:`SpecEEEngine.step` loop, and ``None`` (default)
-        picks batched exactly when the model's
-        ``supports_batched_decode`` says the batch runs real math.  Either
-        way the committed tokens and per-sequence ledgers are identical.
-        """
-        self.engine = engine
-        self.cache = cache
-        self.policy = policy
-        self.scheduler_factory = scheduler_factory
-        if batched is None:
-            batched = engine.model.supports_batched_decode
-        self.batched = bool(batched)
-        self.queue = RequestQueue()
-        self.running: List[SequenceSlot] = []
-        self.reserved_blocks = 0
-        self.step_count = 0
-        # Prefix-sharing accounting (stays zero with sharing off).
-        self.prefix_hits = 0
-        self.prefix_matched_tokens = 0
-        n_kv = cache.n_kv_heads * cache.head_dim
-        if n_kv != engine.model.hidden_dim:
-            raise ValueError(
-                f"paged KV entry shape {cache.n_kv_heads}x{cache.head_dim} "
-                f"does not cover hidden_dim={engine.model.hidden_dim}"
-            )
-
-    # -- submission ----------------------------------------------------------
-    def submit(self, request: Request) -> None:
-        """Queue ``request``, rejecting up front one that could never run.
-
-        Without this check an oversized request used to sit at the head of
-        the queue forever (nothing to retire can ever free enough blocks), so
-        the error surfaces at the API edge instead of mid-run."""
-        reason = self.policy.oversize_reason(request)
-        if reason:
-            raise MemoryError(
-                f"request {request.request_id} can never be admitted: it {reason}"
-            )
-        self.queue.submit(request)
-
-    @property
-    def has_work(self) -> bool:
-        """Whether any request is still queued or running."""
-        return bool(self.queue) or bool(self.running)
-
-    # -- one global step -----------------------------------------------------
-    def _admit(self, outcome: TickOutcome) -> None:
-        while self.queue and self.policy.admissible(
-            self.queue.peek(), self.reserved_blocks, len(self.running)
-        ):
-            request = self.queue.pop()
-            state, result = self.engine.prefill(request.prompt, script=request.script)
-            scheduler = self.scheduler_factory()
-            scheduler.reset()
-            if self.policy.prefix_share:
-                # Worst-case reservation covers the whole prompt, so the
-                # tree walk cannot run out of blocks (cold tree = no hit).
-                matched = self.cache.prefill_prompt(
-                    request.request_id, request.prompt)
-                if matched:
-                    self.prefix_hits += 1
-                    self.prefix_matched_tokens += matched
-            else:
-                self.cache.add_sequence(request.request_id)
-            blocks = self.policy.blocks_needed(request)
-            self.reserved_blocks += blocks
-            self.running.append(SequenceSlot(
-                request=request, state=state, result=result, scheduler=scheduler,
-                admitted_step=self.step_count, blocks_reserved=blocks,
-            ))
-            outcome.admitted.append(request.request_id)
-
-    def _retire(self, outcome: TickOutcome) -> None:
-        still: List[SequenceSlot] = []
-        for slot in self.running:
-            if slot.done:
-                self.engine.finish(slot.state, slot.result)
-                self.cache.free_sequence(slot.request.request_id)
-                self.reserved_blocks -= slot.blocks_reserved
-                slot.finished_step = self.step_count
-                outcome.retired.append(slot)
-            else:
-                still.append(slot)
-        self.running = still
-
-    def tick(self) -> TickOutcome:
-        """Admit, advance every live sequence one token, retire finished."""
-        outcome = TickOutcome(step=self.step_count)
-        self._admit(outcome)
-        if self.batched and self.running:
-            records = self.engine.step_batch(
-                [slot.state for slot in self.running],
-                [slot.result for slot in self.running],
-                [slot.scheduler for slot in self.running],
-                capture_hidden=True,
-            )
-        else:
-            records = [self.engine.step(slot.state, slot.result,
-                                        scheduler=slot.scheduler, capture_hidden=True)
-                       for slot in self.running]
-        for slot, record in zip(self.running, records):
-            outcome.depths.append(record.exit_layer + 1)
-            outcome.records.append(record)
-            if record.hidden is not None:
-                kv = record.hidden.reshape(self.cache.n_kv_heads, self.cache.head_dim)
-                self.cache.append(slot.request.request_id, kv, kv)
-        outcome.kv_blocks_in_use = self.cache.blocks_in_use()
-        self._retire(outcome)
-        self.step_count += 1
-        return outcome
-
-
-# ---------------------------------------------------------------------------
-# Scheduling policies for the async engine (service order + victim selection)
-# ---------------------------------------------------------------------------
 class SchedulingPolicy:
     """Who is served first, and who is evicted first, in the async engine.
 

@@ -49,8 +49,24 @@ class TestCommands:
         assert main(["serve", "--requests", "5", "--max-new-tokens", "12",
                      "--batch-capacity", "4"]) == 0
         out = capsys.readouterr().out
-        assert "continuous batching" in out
+        assert "closed batch" in out
         assert "throughput speedup" in out
+
+    def test_serve_closed_batch_honours_engine_flags(self, capsys):
+        """A closed batch is a trace that arrives at t=0, so --preemption,
+        --sched and --control reach the engine with --trace off too."""
+        common = ["serve", "--trace", "off", "--preemption", "never",
+                  "--sched", "edf", "--control", "pressure",
+                  "--requests", "4", "--max-new-tokens", "16",
+                  "--batch-capacity", "4", "--block-size", "4"]
+        assert main(common + ["--kv-blocks", "64"]) == 0
+        out = capsys.readouterr().out
+        assert "closed batch" in out and "never preemption" in out
+        assert "sched=edf" in out and "control=pressure" in out
+        assert "control policy               | pressure" in out
+        # A pool too tight for the batch needs preemption, which is off.
+        assert main(common + ["--kv-blocks", "8"]) == 2
+        assert "enable preemption" in capsys.readouterr().err
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])

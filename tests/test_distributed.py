@@ -1,6 +1,6 @@
 """Multi-device sharded serving: cluster/link validation, sharded-event
 accounting invariants, cluster pricing physics, per-stage paged KV, and the
-token-identity guarantee for sync and async engines under TP/PP."""
+token-identity guarantee for closed batches and traces under TP/PP."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.distributed import (
     record_decode_batches,
     record_prefill_allreduce,
     record_tick_bubble,
-    shard_serving_ledger,
 )
 from repro.eval.harness import build_rig
 from repro.hardware.devices import get_device
@@ -32,6 +31,14 @@ SPEC = get_model_spec("llama2-7b")
 @pytest.fixture(scope="module")
 def rig():
     return build_rig("llama2-7b", **RIG_KWARGS)
+
+
+def closed_batch(rig, cluster=None):
+    """The serving engine in its closed-batch shape: every request at t=0,
+    whole-prompt prefill."""
+    return rig.async_serving_engine(
+        batch_capacity=4, kv_blocks=64, block_size=4,
+        chunk_prefill_tokens=None, cluster=cluster)
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +152,6 @@ class TestShardingEvents:
         assert tick.calls(Event.ALLREDUCE) == 0
         record_prefill_allreduce(tick, 32, 512.0, make_cluster(tp=2, pp=1))
         assert tick.calls(Event.ALLREDUCE) == 64
-
-    def test_shard_serving_ledger_conserves_and_checks(self):
-        merged = CostLedger()
-        merged.add(Event.DECODER_LAYER, calls=17)
-        merged.add(Event.LM_HEAD_FULL, calls=5)
-        merged.tokens_generated = 5
-        ticks = [[5, 5, 4], [2, 1]]
-        out = shard_serving_ledger(merged, ticks, 2, make_cluster(tp=2, pp=2))
-        assert out.calls(Event.DECODER_LAYER) == 0
-        assert out.units(Event.BATCH_DECODER_LAYER) == 17
-        assert out.calls(Event.LM_HEAD_FULL) == 5
-        assert out.calls(Event.PIPELINE_BUBBLE) > 0
-        with pytest.raises(AssertionError, match="layer-tokens"):
-            shard_serving_ledger(merged, [[5, 5]], 1, make_cluster(tp=2, pp=1))
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +305,21 @@ class TestTokenIdentity:
 
     def test_sync_engine_rejects_pp_beyond_depth(self, rig):
         with pytest.raises(ValueError, match="split"):
-            rig.serving_engine(
-                batch_capacity=4, kv_blocks=64, block_size=4,
-                cluster=make_cluster("a100-80g", pp=rig.model.n_layers * 2))
+            closed_batch(
+                rig, make_cluster("a100-80g", pp=rig.model.n_layers * 2))
 
     @pytest.mark.parametrize("tp,pp", [(2, 1), (1, 2), (2, 2)])
     def test_sync_engine_token_identical(self, rig, tp, pp):
-        base = rig.serving_engine(batch_capacity=4, kv_blocks=64, block_size=4)
-        sharded = rig.serving_engine(
-            batch_capacity=4, kv_blocks=64, block_size=4,
-            cluster=make_cluster("a100-80g", tp=tp, pp=pp))
-        ref = base.run(self.requests())
-        out = sharded.run(self.requests())
-        assert set(ref.results) == set(out.results)
-        for rid in ref.results:
-            assert ref.results[rid].tokens == out.results[rid].tokens
+        """A closed batch (all arrivals synchronous at t=0) on a sharded
+        cluster emits exactly batch-1 ``generate``'s tokens."""
+        ref = closed_batch(rig).run(self.requests())
+        out = closed_batch(
+            rig, make_cluster("a100-80g", tp=tp, pp=pp)).run(self.requests())
+        sequential = rig.specee_engine()
+        assert set(out.results) == {r.request_id for r in self.requests()}
+        for request in self.requests():
+            assert (out.results[request.request_id].tokens
+                    == sequential.generate(request.prompt, 16).tokens)
         # The sharded ledger conserves layer-token work.
         assert (out.serving_ledger.units(Event.BATCH_DECODER_LAYER)
                 == ref.serving_ledger.units(Event.BATCH_DECODER_LAYER))
@@ -367,9 +360,56 @@ class TestTokenIdentity:
 
     def test_sharded_tps_beats_single_on_tp2(self, rig):
         """The modelled TP=2 cluster out-serves one device on the same run."""
-        engine = rig.serving_engine(batch_capacity=4, kv_blocks=64, block_size=4)
-        report = engine.run(self.requests())
-        tp1 = report.priced_speedup(SPEC, "a100-80g", "vllm")
-        tp2 = report.priced_speedup(SPEC, "a100-80g", "vllm",
-                                    cluster=make_cluster("a100-80g", tp=2))
-        assert tp2["serving_tps"] > tp1["serving_tps"]
+        tp1 = closed_batch(rig).run(self.requests())
+        tp2 = closed_batch(
+            rig, make_cluster("a100-80g", tp=2)).run(self.requests())
+        assert tp2.throughput_tps > tp1.throughput_tps
+
+
+# ---------------------------------------------------------------------------
+# the pipeline bubble has one definition: record_tick_bubble, once per tick
+# ---------------------------------------------------------------------------
+class TestTickBubblePricing:
+    def test_prefill_only_tick_fills_and_drains_the_pipeline(self, rig):
+        """A tick that only prefills runs the full stack, so it emits
+        ``(pp-1) * ceil(L/pp)`` bubble slots sized by its layer-tokens."""
+        n_layers = rig.model.n_layers
+        engine = closed_batch(rig, make_cluster("a100-80g", pp=2))
+        engine.begin([Request(0, [3, 1, 4, 1, 5, 9], 4)])
+        engine.advance_tick()
+        tick = engine.report.serving_ledger
+        assert tick.calls(Event.BATCH_DECODER_LAYER) == 0  # prefill only
+        assert tick.units(Event.PREFILL_LAYER) == n_layers * 6
+        slots = (2 - 1) * -(-n_layers // 2)
+        assert tick.calls(Event.PIPELINE_BUBBLE) == slots
+        # One sequence cannot be micro-batched: each idle slot fails to
+        # overlap the whole 6-token prompt.
+        assert tick.units(Event.PIPELINE_BUBBLE) == slots * 6
+
+    def test_single_sequence_prefill_gains_nothing_from_pp(self, rig):
+        """One sequence cannot overlap pipeline stages, so ``pp`` buys a
+        lone prefill no modelled speed-up: the stage concurrency the price
+        divides by is paid back by the fill/drain bubble."""
+        def prefill_tick_s(cluster):
+            engine = closed_batch(rig, cluster)
+            engine.begin([Request(0, list(range(1, 201)), 4)])
+            engine.advance_tick()
+            return engine.report.tick_seconds[0]
+
+        single = prefill_tick_s(None)
+        for pp in (2, 4):
+            assert prefill_tick_s(make_cluster("a100-80g", pp=pp)) >= single
+
+    def test_unit_cluster_ledger_equals_single_device(self, rig):
+        """At ``tp=pp=1`` the cluster path reduces to the single-device
+        ledger, clock and tokens exactly."""
+        requests = lambda: [Request(i, [i + 3, 2 * i + 1], 12) for i in range(6)]
+        single = closed_batch(rig).run(requests())
+        unit = closed_batch(
+            rig, make_cluster("a100-80g", tp=1, pp=1)).run(requests())
+        counts = lambda ledger: {kind: (ledger.calls(kind), ledger.units(kind))
+                                 for kind in ledger.kinds()}
+        assert counts(unit.serving_ledger) == counts(single.serving_ledger)
+        assert unit.makespan_s == single.makespan_s
+        assert ({i: r.tokens for i, r in unit.results.items()}
+                == {i: r.tokens for i, r in single.results.items()})

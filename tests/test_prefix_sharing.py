@@ -315,14 +315,19 @@ class TestServingIdentity:
         assert not math.isnan(on.mean_ttft_s) and not math.isnan(off.mean_ttft_s)
 
     def test_sync_sharing_token_identical(self, rig):
+        """Closed batch: every request arrives synchronously at t=0 and
+        prefills whole, so later admissions adopt the first one's blocks."""
         prompts = [[1, 2, 3, 4, 5, 6, 7, 8, 9 + i] for i in range(4)]
         requests = [Request(i, p, 6) for i, p in enumerate(prompts)]
-        engine_kwargs = dict(batch_capacity=4, kv_blocks=64, block_size=4)
-        off = rig.serving_engine(**engine_kwargs).run(requests)
-        on = rig.serving_engine(prefix_share=True, **engine_kwargs).run(
+        engine_kwargs = dict(batch_capacity=4, kv_blocks=64, block_size=4,
+                             chunk_prefill_tokens=None)
+        off = rig.async_serving_engine(**engine_kwargs).run(requests)
+        on = rig.async_serving_engine(prefix_share=True, **engine_kwargs).run(
             [Request(i, p, 6) for i, p in enumerate(prompts)])
-        for i in range(len(requests)):
-            assert list(on.results[i].tokens) == list(off.results[i].tokens)
+        reference = rig.specee_engine()
+        for i, prompt in enumerate(prompts):
+            tokens = reference.generate(prompt, 6).tokens
+            assert list(on.results[i].tokens) == list(off.results[i].tokens) == tokens
         assert on.prefix_share and on.prefix_matched_tokens > 0
         ledger = on.serving_ledger
         assert ledger.units(Event.PREFIX_REUSE) == on.prefix_matched_tokens

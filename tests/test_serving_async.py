@@ -13,7 +13,6 @@ from repro.hardware.energy import EVENT_INTENSITY
 from repro.hardware.latency import LatencyModel
 from repro.hardware.ledger import CostLedger, Event
 from repro.serving import (
-    ContinuousBatchScheduler,
     PagedKVCache,
     Request,
     bursty_trace,
@@ -337,12 +336,20 @@ class TestAsyncAdmission:
         assert 1 in report.rejected
         assert "wait forever" in report.rejected[1]
 
-    def test_sync_scheduler_submit_rejects_oversized(self, rig):
-        serving = rig.serving_engine(batch_capacity=4, kv_blocks=2, block_size=4)
-        scheduler = ContinuousBatchScheduler(
-            serving.engine, serving.cache, serving.policy, serving.scheduler_factory)
-        with pytest.raises(MemoryError, match="never be admitted"):
-            scheduler.submit(Request(0, [1, 2], 100))
+    def test_submit_rejects_oversized_at_arrival(self, rig):
+        """An oversize request injected mid-run through ``submit`` is refused
+        the moment it arrives, like one in the initial trace: a typed
+        rejection, never a wait, and the run around it is undisturbed."""
+        engine = tight_engine(rig)
+        engine.begin([Request(0, [3, 4], 8)])
+        engine.advance_tick()
+        engine.submit(Request(1, [1, 2], 1000))
+        while engine.has_work:
+            engine.advance_tick()
+        report = engine.finish_report()
+        assert set(report.results) == {0} and len(report.results[0].tokens) == 8
+        assert engine.policy.oversize_reason(
+            Request(1, [1, 2], 1000)) in report.rejected[1]
 
     def test_never_preempt_raises_on_exhaustion(self, rig):
         engine = tight_engine(rig, preemption="never")

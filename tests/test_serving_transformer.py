@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.config import SpecEEConfig, get_model_spec
+from repro.config import SpecEEConfig
 from repro.distributed.cluster import make_cluster
 from repro.hardware.ledger import Event
 from repro.nn.attention import KVCache
@@ -34,10 +34,27 @@ def ragged_requests():
             for i, (n, b) in enumerate(zip(lengths, budgets))]
 
 
-def run_serving(rig, batched, config=None, capacity=4):
-    serving = rig.serving_engine(batch_capacity=capacity, kv_blocks=256,
-                                 block_size=8, batched=batched, config=config)
-    return serving.run(ragged_requests())
+def run_serving(rig, batched, config=None, capacity=4, **kwargs):
+    """Serve the ragged set as a closed batch (all arrivals at t=0,
+    whole-prompt prefill) and check it against batch-1 ``generate``."""
+    serving = rig.async_serving_engine(
+        batch_capacity=capacity, kv_blocks=256, block_size=8, batched=batched,
+        config=config, chunk_prefill_tokens=None, **kwargs)
+    assert serving.batched is batched
+    report = serving.run(ragged_requests())
+    assert_matches_generate(rig, report, ragged_requests(), config,
+                            kwargs.get("scheduler_kind", "two_level"))
+    return report
+
+
+def assert_matches_generate(rig, report, requests, config=None,
+                            scheduler_kind="two_level"):
+    """Per-request tokens and exit layers equal plain batch-1 decoding."""
+    reference = rig.specee_engine(scheduler_kind, config)
+    for request in requests:
+        ref = reference.generate(request.prompt, request.max_new_tokens)
+        out = report.results[request.request_id]
+        assert out.tokens == ref.tokens and out.exit_layers == ref.exit_layers
 
 
 def burst_requests(n=4, tokens=10):
@@ -60,7 +77,6 @@ class TestBatchedIdentity:
     def test_batched_tokens_identical_to_sequential(self, rig):
         batched = run_serving(rig, batched=True)
         sequential = run_serving(rig, batched=False)
-        assert batched.batched_decode and not sequential.batched_decode
         assert {i: r.tokens for i, r in batched.results.items()} == \
                {i: r.tokens for i, r in sequential.results.items()}
         assert {i: r.exit_layers for i, r in batched.results.items()} == \
@@ -119,9 +135,7 @@ class TestWallClockReport:
 
     def test_modelled_numbers_still_priced(self, rig):
         report = run_serving(rig, batched=True)
-        priced = report.priced_speedup(get_model_spec("llama2-7b"),
-                                       "a100-80g", "vllm")
-        assert priced["serving_tps"] > 0 and priced["sequential_tps"] > 0
+        assert report.throughput_tps > 0 and report.sequential_tps > 0
 
     def test_batch_decoder_layer_events_emitted(self, rig):
         """The serving ledger still rebatches per-tick layer runs."""
@@ -137,13 +151,9 @@ class TestSchedulerIsolation:
         batched run must also match sequential under an online scheduler."""
         cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1,
                            scheduler="online", verify_on_exit=False)
-        reports = {}
-        for batched in (True, False):
-            serving = rig.serving_engine(scheduler_kind="online",
-                                         batch_capacity=4, kv_blocks=256,
-                                         block_size=8, batched=batched,
-                                         config=cfg)
-            reports[batched] = serving.run(ragged_requests())
+        reports = {batched: run_serving(rig, batched, config=cfg,
+                                        scheduler_kind="online")
+                   for batched in (True, False)}
         assert {i: r.tokens for i, r in reports[True].results.items()} == \
                {i: r.tokens for i, r in reports[False].results.items()}
 
@@ -205,37 +215,29 @@ class TestRealKVPreemption:
 
 
 class TestAsyncTransformer:
-    """The async/trace engine driving the real transformer: preempted then
-    resumed sequences must be token-identical to undisturbed sync serving."""
-
-    def reference(self, rig, requests):
-        serving = rig.serving_engine(batch_capacity=4, kv_blocks=256,
-                                     block_size=8, config=EXITY_CFG)
-        return serving.run(requests)
+    """The engine driving the real transformer under KV pressure: preempted
+    then resumed sequences must be token-identical to undisturbed batch-1
+    decoding."""
 
     @pytest.mark.parametrize("mode", ["swap", "recompute", "auto"])
     def test_preempted_resume_token_identical(self, rig, mode):
         requests = burst_requests()
-        ref = self.reference(rig, burst_requests())
         report = tight_async(rig, preemption=mode).run(requests)
         assert report.preemptions > 0, "config must actually exercise preemption"
-        for request in requests:
-            result = report.results[request.request_id]
-            assert result.tokens == ref.results[request.request_id].tokens
-            assert result.exit_layers == ref.results[request.request_id].exit_layers
+        assert_matches_generate(rig, report, requests, EXITY_CFG)
         if mode == "swap":
             assert report.swaps == report.preemptions
             assert report.serving_ledger.units(Event.KV_SWAP) > 0
         if mode == "recompute":
             assert report.recomputes == report.preemptions
 
-    def test_async_matches_sync_without_pressure(self, rig):
-        ref = run_serving(rig, batched=True, config=EXITY_CFG)
+    def test_chunked_prefill_matches_reference_without_pressure(self, rig):
+        """The engine's default shape (chunked prefill, roomy pool)."""
         report = rig.async_serving_engine(
             batch_capacity=4, kv_blocks=256, block_size=8,
             config=EXITY_CFG).run(ragged_requests())
-        assert {i: r.tokens for i, r in report.results.items()} == \
-               {i: r.tokens for i, r in ref.results.items()}
+        assert report.preemptions == 0
+        assert_matches_generate(rig, report, ragged_requests(), EXITY_CFG)
 
     def test_scalar_fallback_identical(self, rig):
         requests = burst_requests()
@@ -252,18 +254,18 @@ class TestAsyncTransformer:
 
 class TestShardedTransformer:
     """tp/pp sharding is a ledger rewrite: the sharded transformer decode
-    must stay token-identical to the single-device run, sync and async."""
+    must stay token-identical to the single-device run, for a closed batch
+    and for chunked prefill."""
 
     def test_sync_sharded_tokens_identical(self, rig):
+        """Closed batch (synchronous arrivals at t=0), tp=2 x pp=2."""
         single = run_serving(rig, batched=True, config=EXITY_CFG)
-        serving = rig.serving_engine(
-            batch_capacity=4, kv_blocks=256, block_size=8, config=EXITY_CFG,
-            cluster=make_cluster("a100-80g", tp=2, pp=2))
-        sharded = serving.run(ragged_requests())
+        sharded = run_serving(rig, batched=True, config=EXITY_CFG,
+                              cluster=make_cluster("a100-80g", tp=2, pp=2))
         assert {i: r.tokens for i, r in sharded.results.items()} == \
                {i: r.tokens for i, r in single.results.items()}
-        assert {i: r.exit_layers for i, r in sharded.results.items()} == \
-               {i: r.exit_layers for i, r in single.results.items()}
+        assert (sharded.serving_ledger.units(Event.BATCH_DECODER_LAYER)
+                == single.serving_ledger.units(Event.BATCH_DECODER_LAYER))
         assert sharded.serving_ledger.calls(Event.ALLREDUCE) > 0
 
     def test_async_sharded_tokens_identical(self, rig):
@@ -284,9 +286,10 @@ class TestBatchedPredictorPath:
     same exit decisions and charge the same ledgers as the python loop."""
 
     def run_with_flag(self, rig, flag, scheduler_kind="two_level", config=None):
-        serving = rig.serving_engine(
+        serving = rig.async_serving_engine(
             scheduler_kind=scheduler_kind, batch_capacity=4, kv_blocks=256,
-            block_size=8, batched=True, config=config or EXITY_CFG)
+            block_size=8, batched=True, config=config or EXITY_CFG,
+            chunk_prefill_tokens=None)
         serving.engine.batched_predictors = flag
         return serving.run(ragged_requests())
 
@@ -329,7 +332,8 @@ class TestTransformerServeCli:
         assert main(["serve", "--backend", "transformer", "--requests", "3",
                      "--max-new-tokens", "6", "--batch-capacity", "2"]) == 0
         out = capsys.readouterr().out
-        assert "transformer backend" in out
+        assert "tiny-transformer (priced as llama2-7b)" in out
+        assert "closed batch" in out
         assert "measured tokens/s (wall-clock)" in out
         assert "batched decode" in out
 
