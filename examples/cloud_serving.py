@@ -1,9 +1,10 @@
 """Cloud-serving scenario: SpecEE composed with vLLM paging and AWQ int4.
 
 Walks the paper's cloud stack (Sec. 6.3): evaluates MT-Bench throughput for
-HF, vLLM and AWQ baselines and their SpecEE integrations on an A100, and
-demonstrates the real substrate pieces behind the profiles — the paged KV
-cache and the activation-aware quantizer.
+HF, vLLM and AWQ baselines and their SpecEE integrations on an A100 (AWQ
+enters through its calibrated accuracy anchors and its ``FrameworkProfile``),
+and demonstrates the real substrate piece behind the vLLM profile — the paged
+KV cache.
 
 Run:  python examples/cloud_serving.py
 """
@@ -14,7 +15,6 @@ from repro import build_rig, get_model_spec
 from repro.data import get_dataset, make_items
 from repro.eval import priced_run, run_items
 from repro.baselines import DenseEngine
-from repro.quant.awq import AWQQuantizer
 from repro.serving.paged_kv import PagedKVCache
 
 
@@ -50,23 +50,6 @@ def paged_kv_demo() -> None:
           f"slot utilization {cache.utilization():.0%}")
 
 
-def awq_demo() -> None:
-    print("\nAWQ activation-aware int4 quantization (the AWQ substrate):")
-    rng = np.random.default_rng(0)
-    weight = rng.standard_normal((256, 64)) * 0.1
-    salient = rng.choice(256, size=12, replace=False)
-    weight[salient] *= 6.0
-    acts = rng.standard_normal((128, 256))
-    acts[:, salient] *= 5.0
-    quantized = AWQQuantizer(group_size=64).quantize(weight, acts)
-    err = AWQQuantizer.reconstruction_error(weight, quantized, acts)
-    ref = float(np.mean((acts @ weight) ** 2))
-    print(f"  relative output error {err / ref:.2%}, "
-          f"storage {quantized.storage_bytes / weight.nbytes:.0%} of fp64 / "
-          f"{quantized.storage_bytes / (weight.size * 2):.2f}x fp16")
-
-
 if __name__ == "__main__":
     throughput_table()
     paged_kv_demo()
-    awq_demo()

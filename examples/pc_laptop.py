@@ -2,7 +2,8 @@
 
 Reproduces the Fig. 16 setting: Llama2-7B does not fit the 8 GB laptop GPU,
 so llama.cpp keeps ~half the layers on the CPU, while PowerInfer keeps hot
-FFN neurons GPU-resident and sparse-executes the cold tail on the CPU.
+FFN neurons GPU-resident and sparse-executes the cold tail on the CPU (both
+priced through their ``FrameworkProfile`` in ``repro.hardware.frameworks``).
 
 Run:  python examples/pc_laptop.py
 """
@@ -11,8 +12,6 @@ from repro import build_rig, get_model_spec
 from repro.baselines import DenseEngine
 from repro.data import get_dataset, make_items
 from repro.eval import priced_run, run_items
-from repro.hardware.devices import get_device
-from repro.sparse.powerinfer import ActivationStats, hybrid_ffn_time, partition_neurons
 
 
 def pc_throughput() -> None:
@@ -34,19 +33,5 @@ def pc_throughput() -> None:
         print(f"  {framework:>10}: {b:5.2f} -> SpecEE {f:5.2f} tokens/s ({f / b:.2f}x)")
 
 
-def powerinfer_partition_demo() -> None:
-    print("\nPowerInfer hot/cold neuron partition (11008 FFN neurons):")
-    stats = ActivationStats.power_law(11008, seed=0)
-    part = partition_neurons(stats, gpu_budget_fraction=0.26)
-    gpu, cpu = get_device("rtx4060-laptop"), get_device("i7-13650hx")
-    ffn_bytes = 3 * 4096 * 11008 * 2.0  # one fp16 SwiGLU FFN
-    gpu_t, cpu_t = hybrid_ffn_time(part, ffn_bytes, gpu, cpu)
-    print(f"  hot fraction {part.hot_fraction:.0%}, cold neurons active "
-          f"{part.expected_active_cold_fraction:.0%} of the time")
-    print(f"  per-FFN time: GPU {1e6 * gpu_t:.0f} us + CPU {1e6 * cpu_t:.0f} us "
-          f"(dense on CPU alone would be {1e6 * ffn_bytes / cpu.bytes_per_second:.0f} us)")
-
-
 if __name__ == "__main__":
     pc_throughput()
-    powerinfer_partition_demo()

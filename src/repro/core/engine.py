@@ -168,7 +168,20 @@ class SpecEEEngine:
         carries the prompt prefill.  Callers driving :meth:`step` directly
         (the continuous-batching server) own the scheduler lifetime — pass a
         per-sequence scheduler to every ``step`` call."""
-        state = self.model.start(prompt, script=script)
+        return self._prefilled(self.model.start(prompt, script=script))
+
+    def prefill_batch(
+        self,
+        prompts: Sequence[Sequence[int]],
+        scripts: Optional[Sequence[Optional[Sequence[int]]]] = None,
+    ) -> List[tuple[LMState, GenerationResult]]:
+        """:meth:`prefill` for many sequences through one
+        :meth:`LayeredLM.start_batch`, which real backends run as a single
+        batched pass; each sequence's ledger is charged as if prefilled alone."""
+        return [self._prefilled(state)
+                for state in self.model.start_batch(prompts, scripts)]
+
+    def _prefilled(self, state: LMState) -> tuple[LMState, GenerationResult]:
         result = GenerationResult()
         result.ledger.prompt_tokens = len(state.context)
         result.ledger.add(Event.PREFILL_LAYER, calls=self.model.n_layers,

@@ -65,6 +65,11 @@ class LayeredLM(abc.ABC):
     #: fast path.
     supports_batched_decode: bool = False
 
+    #: Context limit: the most tokens (prompt plus generated) one sequence may
+    #: hold, or ``None`` when the backend has no such limit.  Serving rejects
+    #: requests over it at arrival.
+    max_tokens: Optional[int] = None
+
     # -- static shape ------------------------------------------------------
     @property
     @abc.abstractmethod
@@ -87,6 +92,18 @@ class LayeredLM(abc.ABC):
         """Begin a generation; ``script`` optionally pins the model's intended
         outputs for the first ``len(script)`` steps (used by dataset items to
         plant calibrated answers — see DESIGN.md)."""
+
+    def start_batch(
+        self,
+        prompts: Sequence[Sequence[int]],
+        scripts: Optional[Sequence[Optional[Sequence[int]]]] = None,
+    ) -> List[LMState]:
+        """Begin one generation per prompt (``scripts[i]`` as in
+        :meth:`start`).  Backends with real prefill math override this to
+        share it across the prompts; the default loops :meth:`start`."""
+        if scripts is None:
+            scripts = [None] * len(prompts)
+        return [self.start(p, script=s) for p, s in zip(prompts, scripts)]
 
     @abc.abstractmethod
     def begin_step(self, state: LMState) -> None:

@@ -94,16 +94,27 @@ class TransformerLayeredLM(LayeredLM):
 
     # -- generation ----------------------------------------------------------
     def start(self, prompt: Sequence[int], script: Optional[Sequence[int]] = None) -> TransformerState:
-        if script is not None:
+        return self.start_batch([prompt], [script])[0]
+
+    def start_batch(
+        self,
+        prompts: Sequence[Sequence[int]],
+        scripts: Optional[Sequence[Optional[Sequence[int]]]] = None,
+    ) -> List[TransformerState]:
+        """Prefill every prompt in one ragged full-depth pass, so the batch
+        streams each layer's weights once instead of once per prompt."""
+        if scripts is not None and any(script is not None for script in scripts):
             raise ValueError("the transformer backend cannot plant scripted outputs")
-        prompt = [int(t) % self.vocab_size for t in prompt]
-        if not prompt:
+        prompts = [[int(t) % self.vocab_size for t in prompt] for prompt in prompts]
+        if not all(prompts):
             raise ValueError("prompt must contain at least one token")
-        cache = self.lm.new_cache(self.max_tokens)
-        state = TransformerState(context=list(prompt), prompt_len=len(prompt), cache=cache)
-        # Prefill all layers over the prompt.
-        self.lm.forward_all(np.asarray(prompt), cache, np.arange(len(prompt)))
-        return state
+        states = [
+            TransformerState(context=prompt, prompt_len=len(prompt),
+                             cache=self.lm.new_cache(self.max_tokens))
+            for prompt in prompts
+        ]
+        self.lm.prefill_ragged(prompts, [state.cache for state in states])
+        return states
 
     def begin_step(self, state: TransformerState) -> None:
         last = state.context[-1]

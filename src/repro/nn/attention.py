@@ -217,13 +217,50 @@ class CausalSelfAttention:
         Causality within the new block is enforced with an explicit mask; the
         cached prefix is fully visible (it precedes every new position).
         """
-        t = x.shape[0]
+        ctx = self._attend(x @ self.wq, x @ self.wk, x @ self.wv, layer, cache, positions)
+        return ctx @ self.wo
+
+    def forward_ragged(
+        self,
+        x: np.ndarray,
+        layer: int,
+        caches: Sequence[KVCache],
+        bounds: Sequence[int],
+        positions: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`forward` for many sequences concatenated along the rows.
+
+        Sequence ``i`` owns rows ``bounds[i]:bounds[i + 1]`` of ``x``
+        ([sum T, dim]) and of ``positions``.  The four projections are one
+        GEMM each over all rows — every sequence shares one read of the
+        weights — while rotation, the cache append and causal attention run
+        per sequence on its row slice.
+        """
+        q, k, v = x @ self.wq, x @ self.wk, x @ self.wv
+        ctx = np.empty_like(q)
+        for i, cache in enumerate(caches):
+            rows = slice(bounds[i], bounds[i + 1])
+            ctx[rows] = self._attend(q[rows], k[rows], v[rows], layer, cache, positions[rows])
+        return ctx @ self.wo
+
+    def _attend(
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        layer: int,
+        cache: KVCache,
+        positions: np.ndarray,
+    ) -> np.ndarray:
+        """One sequence's projected rows -> attention context ``[T, q_dim]``:
+        rotate Q/K, append K/V to ``cache``, attend causally over it."""
+        t = q.shape[0]
         prefix_len = cache.length(layer)
         cos, sin = self.rope.tables_for(positions)
 
-        q = (x @ self.wq).reshape(t, self.n_heads, self.head_dim).transpose(1, 0, 2)
-        k = (x @ self.wk).reshape(t, self.n_kv_heads, self.head_dim).transpose(1, 0, 2)
-        v = (x @ self.wv).reshape(t, self.n_kv_heads, self.head_dim).transpose(1, 0, 2)
+        q = q.reshape(t, self.n_heads, self.head_dim).transpose(1, 0, 2)
+        k = k.reshape(t, self.n_kv_heads, self.head_dim).transpose(1, 0, 2)
+        v = v.reshape(t, self.n_kv_heads, self.head_dim).transpose(1, 0, 2)
         q = apply_rope(q, cos, sin)
         k = apply_rope(k, cos, sin)
 
@@ -243,8 +280,7 @@ class CausalSelfAttention:
 
         attn = softmax(scores, axis=-1)
         ctx = attn @ values_q  # [H, t, head_dim]
-        ctx = ctx.transpose(1, 0, 2).reshape(t, self.n_heads * self.head_dim)
-        return ctx @ self.wo
+        return ctx.transpose(1, 0, 2).reshape(t, self.n_heads * self.head_dim)
 
     def decode_batch(
         self,

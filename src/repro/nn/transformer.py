@@ -91,6 +91,18 @@ class _DecoderLayer:
         x = x + self.ffn.forward_np(self.ffn_norm.forward_np(x))
         return x
 
+    def forward_ragged(
+        self, x: np.ndarray, layer: int, caches: Sequence[KVCache],
+        bounds: Sequence[int], positions: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`forward` over many sequences' concatenated rows (sequence
+        ``i`` owns ``bounds[i]:bounds[i + 1]``): norms and the SwiGLU are
+        row-wise, so only attention needs to know where sequences end."""
+        x = x + self.attn.forward_ragged(
+            self.attn_norm.forward_np(x), layer, caches, bounds, positions)
+        x = x + self.ffn.forward_np(self.ffn_norm.forward_np(x))
+        return x
+
     def decode_batch(
         self, x: np.ndarray, layer: int, caches: List[KVCache], positions: np.ndarray
     ) -> np.ndarray:
@@ -185,6 +197,25 @@ class TinyTransformerLM:
         hidden = self.embed(token_ids)
         for layer in range(self.cfg.n_layers):
             hidden = self.layer_forward(hidden, layer, cache, positions)
+        return hidden
+
+    def prefill_ragged(
+        self, prompts: Sequence[Sequence[int]], caches: Sequence[KVCache]
+    ) -> np.ndarray:
+        """Prefill many fresh sequences in one full-depth pass.
+
+        The prompts' rows are concatenated (``[sum T, dim]``), so embedding,
+        norms, projections and the FFN are one GEMM each per layer — every
+        sequence shares each weight read — while attention stays per
+        sequence, each from position 0 into its own cache.  Returns the final
+        hidden states of all rows.
+        """
+        lengths = [len(prompt) for prompt in prompts]
+        bounds = np.concatenate([[0], np.cumsum(lengths)])
+        positions = np.concatenate([np.arange(n) for n in lengths])
+        hidden = self.embed(np.concatenate(prompts))
+        for layer, block in enumerate(self.layers):
+            hidden = block.forward_ragged(hidden, layer, caches, bounds, positions)
         return hidden
 
 

@@ -42,6 +42,9 @@ Backends that support batched decode (``supports_batched_decode``) run each
 tick's decode through :meth:`SpecEEEngine.step_batch`, so the transformer
 serves real ``[B, dim]`` math under the async scheduler; the report then
 carries wall-clock time and measured tokens/s next to the modelled clock.
+Prefill is batched the same way on every backend: a tick's fresh admits go
+through one :meth:`SpecEEEngine.prefill_batch`, which the transformer runs
+as a single ragged pass that streams each layer's weights once.
 
 Passing a :class:`~repro.distributed.ClusterSpec` runs the same trace on a
 modelled ``tp x pp`` cluster: ticks are priced by
@@ -154,8 +157,10 @@ class AsyncSequence:
     """One admitted request plus all its host-side survivable state."""
 
     request: Request
-    state: LMState
-    result: GenerationResult
+    #: Model state and result; None only between admission and the tick's
+    #: batched prefill (inside :meth:`AsyncServingEngine._admit`).
+    state: Optional[LMState]
+    result: Optional[GenerationResult]
     scheduler: Scheduler
     admitted_step: int
     prefill_remaining: int
@@ -575,7 +580,7 @@ class AsyncServingEngine:
     def _absorb_arrivals(self, pending: List[Request], report: AsyncServingReport) -> None:
         while pending and pending[0].arrival_s <= self.now_s + 1e-12:
             request = pending.pop(0)
-            reason = self.policy.oversize_reason(request)
+            reason = self.oversize_reason(request)
             if reason:
                 report.rejected[request.request_id] = f"{reason}; it would wait forever"
                 if request.slo_s is not None:
@@ -584,6 +589,19 @@ class AsyncServingEngine:
             self.waiting.append(request)
         self.waiting.sort(key=lambda r: self.scheduling.queue_key(
             r, self.now_s, self._service_s))
+
+    def oversize_reason(self, request: Request) -> Optional[str]:
+        """Why ``request`` could never be served here, or None: it overruns
+        the backend's declared context limit (admitting it would overflow
+        its KV cache mid-decode, and its admit batch's with it), or the
+        paged pool could not hold it even when empty."""
+        limit = self.engine.model.max_tokens
+        context = len(request.prompt) + request.max_new_tokens
+        if limit is not None and context > limit:
+            return (f"needs {context} context tokens ({len(request.prompt)} "
+                    f"prompt + {request.max_new_tokens} new) but the model's "
+                    f"limit is {limit}")
+        return self.policy.oversize_reason(request)
 
     def _live_count(self) -> int:
         return len(self.running) + len(self.preempted)
@@ -661,7 +679,11 @@ class AsyncServingEngine:
 
     def _admit(self, report: AsyncServingReport,
                tick: CostLedger) -> List[AsyncSequence]:
+        """Admit from the head of the waiting queue while the policy allows,
+        then prefill the tick's fresh admits in one batched pass (each slot
+        joins ``running`` at once, so every later decision counts it)."""
         admitted: List[AsyncSequence] = []
+        fresh: List[AsyncSequence] = []
         while self.waiting and self._admissible(self.waiting[0]):
             request = self.waiting.pop(0)
             salvaged = self._salvage.pop(request.request_id, None)
@@ -695,13 +717,12 @@ class AsyncServingEngine:
                     break
                 if matched:
                     tick.add(Event.PREFIX_REUSE, calls=1, units=matched)
-            state, result = self.engine.prefill(request.prompt, script=request.script)
+            else:
+                self.cache.add_sequence(request.request_id)
             scheduler = self.scheduler_factory()
             scheduler.reset()
-            if not self.prefix_share:
-                self.cache.add_sequence(request.request_id)
             slot = AsyncSequence(
-                request=request, state=state, result=result, scheduler=scheduler,
+                request=request, state=None, result=None, scheduler=scheduler,
                 admitted_step=self.step_count,
                 prefill_remaining=len(request.prompt) - matched,
                 last_progress_step=self.step_count,
@@ -711,6 +732,13 @@ class AsyncServingEngine:
                 self.reserved_blocks += slot.blocks_reserved
             self.running.append(slot)
             admitted.append(slot)
+            fresh.append(slot)
+        if fresh:
+            prefilled = self.engine.prefill_batch(
+                [slot.request.prompt for slot in fresh],
+                [slot.request.script for slot in fresh])
+            for slot, (state, result) in zip(fresh, prefilled):
+                slot.state, slot.result = state, result
         return admitted
 
     def _prefill(self, tick: CostLedger) -> bool:

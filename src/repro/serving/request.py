@@ -111,9 +111,11 @@ class AdmissionPolicy:
 
     def oversize_reason(self, request: Request) -> Optional[str]:
         """Why ``request`` could never fit even in an empty pool, or None.
-        The single source of truth for oversize rejection — the engine's
-        arrival-time rejections, the router's and :meth:`admissible` all
-        phrase it from this."""
+        The single source of truth for pool-oversize rejection —
+        :meth:`admissible` and ``AsyncServingEngine.oversize_reason`` (which
+        the engine's arrival-time rejections and the router's go through,
+        and which checks the backend's context limit first) phrase it from
+        this."""
         need = self.blocks_needed(request)
         if need <= self.n_blocks:
             return None

@@ -485,7 +485,7 @@ class ServingRouter:
         dead and draining replicas are excluded from every routing policy."""
         return [i for i, replica in enumerate(self.replicas)
                 if self.health[i].routable
-                and replica.policy.oversize_reason(request) is None]
+                and replica.oversize_reason(request) is None]
 
     def _route(self, request: Request, report: ServingFleetReport) -> None:
         candidates = self._candidates(request)
@@ -494,7 +494,7 @@ class ServingRouter:
                 reason = "no live replica to route to"
             else:
                 reason = (f"no replica can hold it: "
-                          f"{self.replicas[0].policy.oversize_reason(request)}")
+                          f"{self.replicas[0].oversize_reason(request)}")
             report.rejected[request.request_id] = reason
             if request.slo_s is not None:
                 report.rejected_with_slo += 1

@@ -4,6 +4,7 @@ flag docs, and the public-docstring contract must stay in sync."""
 
 import argparse
 import ast
+import json
 import pathlib
 import re
 
@@ -45,6 +46,17 @@ class TestDesignDoc:
     def test_readme_points_to_design_and_experiments(self):
         readme = (REPO / "README.md").read_text()
         assert "DESIGN.md" in readme and "EXPERIMENTS.md" in readme
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+    def test_docs_point_to_the_stopwatch_benchmark(self, doc):
+        """The measuring-performance section must name `perf/`,
+        `BENCHMARK.json` and every workload the benchmark declares."""
+        text = (REPO / doc).read_text()
+        assert "perf/" in text and "BENCHMARK.json" in text
+        contract = json.loads((REPO / "BENCHMARK.json").read_text())
+        for workload in contract["workloads"]:
+            assert f"`{workload['name']}`" in text, (
+                f"{doc} does not mention workload {workload['name']}")
 
     def test_experiments_md_covers_all_artifacts(self):
         text = (REPO / "EXPERIMENTS.md").read_text()

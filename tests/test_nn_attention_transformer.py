@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.model.transformer_backend import TransformerLayeredLM
 from repro.nn.attention import CausalSelfAttention, KVCache
 from repro.nn.autograd import cross_entropy
 from repro.nn.optim import Adam
@@ -14,6 +16,8 @@ from repro.nn.transformer import (
 
 CFG = TransformerConfig(vocab_size=48, dim=32, n_layers=3, n_heads=4,
                         intermediate_dim=48, max_positions=64)
+GQA_CFG = TransformerConfig(vocab_size=48, dim=32, n_layers=3, n_heads=4,
+                            n_kv_heads=2, intermediate_dim=48, max_positions=64)
 
 
 class TestKVCache:
@@ -165,6 +169,58 @@ class TestTinyTransformer:
         a = TinyTransformerLM(CFG, seed=5)
         b = TinyTransformerLM(CFG, seed=5)
         assert np.array_equal(a.embedding, b.embedding)
+
+
+class TestRaggedPrefill:
+    """``start_batch`` (one ragged pass: shared GEMMs, per-sequence attention)
+    against per-prompt ``start``, which is its one-element case."""
+
+    MODELS = {cfg: TransformerLayeredLM(cfg, seed=1, max_tokens=64)
+              for cfg in (CFG, GQA_CFG)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=st.sampled_from([CFG, GQA_CFG]),
+           lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+           seed=st.integers(0, 2**16))
+    def test_start_batch_leaves_the_kv_of_per_prompt_start(self, cfg, lengths, seed):
+        """Every layer's K/V after one ragged pass equals per-prompt
+        prefill.  A lone prompt takes the same code path and must match bit
+        for bit; in a real batch the GEMMs see more rows, and BLAS picks its
+        kernel by row count (gemv for a 1-row prompt, small-matrix kernels
+        below ~1e6 multiply-adds), so the accumulation order — not the math —
+        may differ: the bound is a few hundred float64 ulps of O(1) values."""
+        model = self.MODELS[cfg]
+        rng = np.random.default_rng(seed)
+        prompts = [rng.integers(0, cfg.vocab_size, n).tolist() for n in lengths]
+        batch = model.start_batch(prompts)
+        assert [s.context for s in batch] == prompts
+        for prompt, state in zip(prompts, batch):
+            alone = model.start(prompt)
+            assert state.prompt_len == alone.prompt_len == len(prompt)
+            for layer in range(cfg.n_layers):
+                assert state.cache.length(layer) == len(prompt)
+                for got, want in zip(state.cache.view(layer), alone.cache.view(layer)):
+                    if len(prompts) == 1:
+                        assert np.array_equal(got, want)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_ragged_pass_equals_forward_all_hidden(self):
+        """The pass returns every row's final hidden state — the same values
+        ``forward_all`` computes one sequence at a time."""
+        lm = TinyTransformerLM(GQA_CFG, seed=2)
+        prompts = [[3, 1, 4, 1, 5], [9], [2, 6, 5]]
+        hidden = lm.prefill_ragged(prompts, [lm.new_cache(16) for _ in prompts])
+        want = np.vstack([
+            lm.forward_all(np.asarray(p), lm.new_cache(16), np.arange(len(p)))
+            for p in prompts])
+        np.testing.assert_allclose(hidden, want, rtol=0, atol=1e-12)
+
+    def test_start_batch_validates_like_start(self):
+        model = self.MODELS[CFG]
+        with pytest.raises(ValueError, match="at least one token"):
+            model.start_batch([[1, 2], []])
+        with pytest.raises(ValueError, match="scripted"):
+            model.start_batch([[1], [2]], [None, [3]])
 
 
 class TestTrainableTransformer:

@@ -1,137 +1,10 @@
-"""Tests for AWQ quantization, PowerInfer sparsity and paged KV serving."""
+"""Tests for the paged KV cache (the vLLM substrate)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.devices import get_device
-from repro.quant.awq import (
-    AWQQuantizer,
-    QuantizedLinear,
-    dequantize_groupwise,
-    quantize_groupwise,
-)
 from repro.serving.paged_kv import BlockAllocator, PagedKVCache
-from repro.sparse.powerinfer import (
-    ActivationStats,
-    hybrid_ffn_time,
-    partition_neurons,
-)
-
-
-class TestGroupwiseQuant:
-    def test_roundtrip_error_bounded_by_scale(self):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((64, 16))
-        q, scales = quantize_groupwise(w, group_size=16, n_bits=4)
-        recon = dequantize_groupwise(q, scales, group_size=16)
-        # RTN error is at most half a quantization step per element.
-        for g in range(scales.shape[0]):
-            lo, hi = g * 16, (g + 1) * 16
-            err = np.abs(w[lo:hi] - recon[lo:hi])
-            assert np.all(err <= scales[g] / 2 + 1e-12)
-
-    def test_levels_within_int4(self):
-        w = np.random.default_rng(1).standard_normal((32, 8)) * 5
-        q, _ = quantize_groupwise(w, group_size=8, n_bits=4)
-        assert q.min() >= -8 and q.max() <= 7
-
-    @given(st.integers(min_value=1, max_value=64))
-    @settings(max_examples=20, deadline=None)
-    def test_any_group_size_roundtrips_shape(self, group_size):
-        w = np.random.default_rng(group_size).standard_normal((40, 6))
-        q, scales = quantize_groupwise(w, group_size=group_size)
-        recon = dequantize_groupwise(q, scales, group_size=group_size)
-        assert recon.shape == w.shape
-
-    def test_smaller_groups_lower_error(self):
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal((128, 8)) * np.exp(rng.standard_normal((128, 1)))
-        def err(gs):
-            q, s = quantize_groupwise(w, group_size=gs)
-            return float(np.mean((w - dequantize_groupwise(q, s, gs)) ** 2))
-        assert err(16) <= err(128) + 1e-12
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            quantize_groupwise(np.zeros(4), 8)
-        with pytest.raises(ValueError):
-            quantize_groupwise(np.zeros((4, 4)), 0)
-
-
-class TestAWQ:
-    def test_activation_aware_beats_plain_rtn_on_skewed_channels(self):
-        rng = np.random.default_rng(3)
-        w = rng.standard_normal((64, 16)) * 0.1
-        # A few salient input channels with large weights AND activations.
-        salient = rng.choice(64, size=4, replace=False)
-        w[salient] *= 8.0
-        acts = rng.standard_normal((128, 64)) * 0.5
-        acts[:, salient] *= 6.0
-        quantizer = AWQQuantizer(group_size=64)
-        awq = quantizer.quantize(w, acts)
-        plain_q, plain_s = quantize_groupwise(w, group_size=64)
-        plain = QuantizedLinear(q=plain_q, scales=plain_s, group_size=64)
-        err_awq = AWQQuantizer.reconstruction_error(w, awq, acts)
-        err_rtn = AWQQuantizer.reconstruction_error(w, plain, acts)
-        assert err_awq <= err_rtn * 1.001
-
-    def test_storage_bytes_about_half_byte_per_weight(self):
-        w = np.random.default_rng(4).standard_normal((128, 128))
-        q, s = quantize_groupwise(w, group_size=128)
-        lin = QuantizedLinear(q=q, scales=s, group_size=128)
-        assert lin.storage_bytes < w.size * 0.6
-
-    def test_quantized_linear_callable(self):
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal((16, 4))
-        quantizer = AWQQuantizer(group_size=8)
-        lin = quantizer.quantize(w, rng.standard_normal((32, 16)))
-        x = rng.standard_normal((3, 16))
-        assert np.allclose(lin(x), x @ w, atol=0.5)
-
-    def test_calibration_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            AWQQuantizer().quantize(np.zeros((8, 2)), np.zeros((4, 6)))
-
-
-class TestPowerInfer:
-    def test_stats_from_activations(self):
-        acts = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
-        stats = ActivationStats.from_activations(acts)
-        assert np.allclose(stats.frequencies, [1.0, 0.0, 0.5])
-
-    def test_power_law_profile_skewed(self):
-        stats = ActivationStats.power_law(1000, seed=0)
-        top_quarter = np.sort(stats.frequencies)[-250:].mean()
-        bottom_half = np.sort(stats.frequencies)[:500].mean()
-        assert top_quarter > 4 * bottom_half
-
-    def test_partition_respects_budget(self):
-        stats = ActivationStats.power_law(100, seed=1)
-        part = partition_neurons(stats, gpu_budget_fraction=0.3)
-        assert len(part.hot_index) == 30
-        assert part.hot_fraction == pytest.approx(0.3)
-        # Hot set must contain the most active neurons.
-        hottest = np.argsort(-stats.frequencies)[:10]
-        assert set(hottest) <= set(part.hot_index)
-
-    def test_cold_rate_lower_than_hot(self):
-        stats = ActivationStats.power_law(500, seed=2)
-        part = partition_neurons(stats, 0.26)
-        assert part.expected_active_cold_fraction < stats.frequencies.mean()
-
-    def test_hybrid_time_sparsity_pays_off(self):
-        gpu, cpu = get_device("rtx4060-laptop"), get_device("i7-13650hx")
-        stats = ActivationStats.power_law(1000, seed=3)
-        part = partition_neurons(stats, 0.8)
-        gpu_t, cpu_t = hybrid_ffn_time(part, ffn_bytes=270e6, gpu=gpu, cpu=cpu)
-        # Cold neurons are sparse-activated, so the CPU share stays small.
-        assert cpu_t < 4 * gpu_t
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            partition_neurons(ActivationStats.power_law(10), 1.5)
 
 
 class TestPagedKV:

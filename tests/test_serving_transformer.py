@@ -10,8 +10,9 @@ from repro.cli import main
 from repro.config import SpecEEConfig
 from repro.distributed.cluster import make_cluster
 from repro.hardware.ledger import Event
+from repro.eval.harness import build_transformer_rig
 from repro.nn.attention import KVCache
-from repro.serving import Request
+from repro.serving import PagedKVCache, Request
 
 # Unverified-exit ablation with a permissive threshold: the untrained-oracle
 # draft rarely survives verification on random weights, so this config is how
@@ -125,6 +126,183 @@ class TestBatchedIdentity:
         for state in states:
             for layer in range(engine.model.n_layers):
                 assert state.cache.length(layer) == len(state.context)
+
+
+def closed_batch(n=16, tokens=6):
+    """``n`` t=0 arrivals with ragged prompts (lengths 1..7, so a 1-row
+    prompt rides in every admit wave)."""
+    return [Request(i, [(i * 13 + j) % 128 + 1 for j in range(1 + i % 7)], tokens)
+            for i in range(n)]
+
+
+class TestBatchedPrefill:
+    """A tick's fresh admits share one ``prefill_batch`` pass; every
+    admission decision, ledger line and token is what per-request prefill
+    gave."""
+
+    @staticmethod
+    def spy_prefill_batches(rig, monkeypatch):
+        """Record the size of every ``start_batch`` the backend receives."""
+        sizes = []
+        model_type = type(rig.model)
+        real = model_type.start_batch
+
+        def start_batch(self, prompts, scripts=None):
+            sizes.append(len(prompts))
+            return real(self, prompts, scripts)
+
+        monkeypatch.setattr(model_type, "start_batch", start_batch)
+        return sizes
+
+    def test_closed_batch16_equals_batch1_generate(self, rig, monkeypatch):
+        sizes = self.spy_prefill_batches(rig, monkeypatch)
+        serving = rig.async_serving_engine(
+            batch_capacity=16, kv_blocks=256, block_size=8,
+            chunk_prefill_tokens=None)
+        requests = closed_batch()
+        report = serving.run(requests)
+        # Checked before the reference decode, which prefills one at a time.
+        assert sizes == [16], "sixteen t=0 arrivals are one batched prefill"
+        assert_matches_generate(rig, report, requests)
+
+    def test_ledger_and_tokens_equal_per_request_prefill(self, rig, monkeypatch):
+        """The modelled clock never sees the batching: against a server whose
+        ``prefill_batch`` loops per-request ``prefill`` (the old admit loop),
+        the serving ledger, tick prices and tokens are all identical."""
+        def run():
+            serving = rig.async_serving_engine(
+                batch_capacity=8, kv_blocks=64, block_size=4, config=EXITY_CFG)
+            return serving.run(closed_batch())
+
+        batched = run()
+        engine_type = type(rig.specee_engine())
+        monkeypatch.setattr(
+            engine_type, "prefill_batch",
+            lambda self, prompts, scripts: [
+                self.prefill(p, script=s) for p, s in zip(prompts, scripts)])
+        looped = run()
+        assert batched.serving_ledger.snapshot() == looped.serving_ledger.snapshot()
+        assert batched.tick_seconds == looped.tick_seconds
+        assert batched.batch_occupancy == looped.batch_occupancy
+        for rid, result in looped.results.items():
+            assert batched.results[rid].tokens == result.tokens
+            assert batched.results[rid].exit_layers == result.exit_layers
+            assert batched.metrics[rid] == looped.metrics[rid]
+
+    def test_reserve_admission_counts_slots_before_they_are_prefilled(
+            self, rig, monkeypatch):
+        """Reserve mode must see each admit's reservation while the wave is
+        still being collected: 10-token budgets reserve 3 of 8 blocks each,
+        so waves are two wide however many slots the batch has."""
+        sizes = self.spy_prefill_batches(rig, monkeypatch)
+        serving = rig.async_serving_engine(
+            batch_capacity=6, kv_blocks=8, block_size=4, admission="reserve",
+            preemption="never")
+        requests = closed_batch(6, tokens=10)
+        report = serving.run(requests)
+        assert sizes == [2, 2, 2]
+        assert report.preemptions == 0 and not report.rejected
+        assert_matches_generate(rig, report, requests)
+
+    def test_prefix_share_backoff_leaves_the_wave_consistent(self, rig, monkeypatch):
+        """Optimistic admission with paged prompts: the third 10-token prompt
+        finds a free block but not the three it needs, ``prefill_prompt``
+        raises, and the request goes back to the queue head — the two
+        already collected are still prefilled together, it is served later."""
+        backoffs = []
+        real = PagedKVCache.prefill_prompt
+
+        def prefill_prompt(self, seq_id, prompt):
+            try:
+                return real(self, seq_id, prompt)
+            except MemoryError:
+                backoffs.append(seq_id)
+                raise
+
+        monkeypatch.setattr(PagedKVCache, "prefill_prompt", prefill_prompt)
+        sizes = self.spy_prefill_batches(rig, monkeypatch)
+        serving = rig.async_serving_engine(
+            batch_capacity=4, kv_blocks=8, block_size=4, prefix_share=True,
+            chunk_prefill_tokens=None)
+        requests = [Request(i, [(i * 17 + j) % 128 + 1 for j in range(10)], 4)
+                    for i in range(3)]
+        report = serving.run(requests)
+        assert backoffs and backoffs[0] == 2
+        assert sizes[0] == 2 and sum(sizes) == 3
+        assert report.metrics[2].admitted_step > report.metrics[1].admitted_step
+        assert_matches_generate(rig, report, requests)
+
+    def test_salvage_adoption_and_fresh_admits_share_a_tick(self, rig, monkeypatch):
+        """A crashed replica's decoded sequence is adopted in the same admit
+        loop as two fresh requests: it resumes by recompute (no prefill), the
+        fresh two are one batch, all three finish with reference tokens."""
+        kwargs = dict(batch_capacity=4, kv_blocks=64, block_size=4)
+        requests = closed_batch(3, tokens=8)
+        victim = rig.async_serving_engine(**kwargs)
+        victim.begin(requests[:1])
+        for _ in range(4):
+            victim.advance_tick()
+        salvage = victim.fail()
+        (slot,) = salvage.slots
+        assert 0 < len(slot.result.tokens) < 8
+
+        sizes = self.spy_prefill_batches(rig, monkeypatch)
+        target = rig.async_serving_engine(**kwargs)
+        target.begin([])
+        target.submit(requests[1])
+        target.submit(slot.request, salvage=slot)
+        target.submit(requests[2])
+        while target.has_work:
+            target.advance_tick()
+        report = target.finish_report()
+        assert sizes == [2]
+        assert {m.admitted_step for m in report.metrics.values()} == {0}
+        assert report.metrics[0].recomputes == 1
+        assert_matches_generate(rig, report, requests)
+
+
+class TestContextLimit:
+    """A request that cannot fit the backend's context is rejected at the
+    edge instead of overflowing the KV cache mid-tick."""
+
+    @pytest.fixture(scope="class")
+    def short_rig(self, small_transformer_rig):
+        return build_transformer_rig(small_transformer_rig.model.cfg, seed=0,
+                                     max_tokens=64)
+
+    TRACE = [
+        Request(0, [5, 6, 7], 12),
+        Request(1, [(j % 128) + 1 for j in range(59)], 16),  # 75 > 64
+        Request(2, [9, 8], 12, arrival_s=0.001),
+        Request(3, [4] * 40, 24),  # exactly 64: fits
+    ]
+
+    def test_over_context_request_is_rejected_and_the_rest_finish(self, short_rig):
+        serving = short_rig.async_serving_engine(
+            batch_capacity=4, kv_blocks=64, block_size=8)
+        report = serving.run(self.TRACE)
+        assert set(report.rejected) == {1}
+        assert "75 context tokens" in report.rejected[1]
+        assert "limit is 64" in report.rejected[1]
+        served = [r for r in self.TRACE if r.request_id != 1]
+        assert set(report.results) == {r.request_id for r in served}
+        assert_matches_generate(short_rig, report, served)
+
+    def test_router_rejects_it_before_any_replica_sees_it(self, short_rig):
+        fleet = short_rig.router_fleet(2, batch_capacity=4, kv_blocks=64,
+                                       block_size=8)
+        report = fleet.run(self.TRACE)
+        assert set(report.rejected) == {1}
+        assert "no replica can hold it" in report.rejected[1]
+        assert "limit is 64" in report.rejected[1]
+        assert 1 not in report.assignments
+        assert set(report.results) == {0, 2, 3}
+
+    def test_backends_without_a_limit_reject_nothing(self, control_rig):
+        assert control_rig.model.max_tokens is None
+        serving = control_rig.async_serving_engine(batch_capacity=2)
+        assert serving.oversize_reason(Request(0, [1] * 5000, 16)) is None
+        assert "KV blocks" in serving.oversize_reason(Request(0, [1], 5000))
 
 
 class TestWallClockReport:
