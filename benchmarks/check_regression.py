@@ -58,7 +58,6 @@ GATES = {
         # Only the dimensionless ratios are gated: they are machine-portable,
         # whereas absolute tok/s swings with the host and stays informational.
         WallClock("gates.b16_speedup"),
-        WallClock("gates.predictor_speedup"),
     ],
     "BENCH_router_goodput.json": [
         Modelled("gates.edf_exit_aware_goodput"),

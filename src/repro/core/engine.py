@@ -19,7 +19,7 @@ hardware models can price the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.config import SpecEEConfig
 from repro.core.features import FeatureExtractor
 from repro.core.predictor import PredictorBank
 from repro.core.scheduling import Scheduler, make_scheduler
-from repro.core.verification import verify_exit
+from repro.core.verification import verify_exit, verify_exits
 from repro.hardware.ledger import CostLedger, Event
 from repro.model.base import LayeredLM, LMState
 from repro.model.draft import Speculator
@@ -126,15 +126,6 @@ class SpecEEEngine:
             window=self.config.context_window, vicinity=self.config.layer_vicinity,
         )
         self._extractor = FeatureExtractor(self.config.num_speculative)
-        # Per-sequence extractors for step_batch (each sequence's feature
-        # variation history must stay isolated); grown on demand.
-        self._extractor_pool: List[FeatureExtractor] = []
-        #: Score every live sequence's exit predictor in one vectorized pass
-        #: per active layer inside :meth:`step_batch` — a single union-sliced
-        #: LM-head GEMM plus one MLP forward — instead of per sequence.
-        #: Decision-identical to the per-sequence path; the flag exists so
-        #: benchmarks and tests can compare the two.
-        self.batched_predictors: bool = True
 
     def generate(
         self,
@@ -223,7 +214,7 @@ class SpecEEEngine:
         so the trained 3k-input predictor MLPs are untouched.  Defaults
         reproduce the static engine bit for bit.
         """
-        model, cfg, ledger = self.model, self.config, result.ledger
+        model, cfg = self.model, self.config
         sched = scheduler if scheduler is not None else self.scheduler
         threshold = cfg.exit_threshold if exit_threshold is None else float(exit_threshold)
         k = cfg.num_speculative
@@ -232,7 +223,6 @@ class SpecEEEngine:
         if d < k:
             spec_tokens = spec_tokens[:d]
         draft_hit = self.speculator.is_hit(state.context)
-        ledger.add(Event.DRAFT_STEP)
         model.begin_step(state)
         self._extractor.reset()
 
@@ -246,22 +236,18 @@ class SpecEEEngine:
         hidden = None
         for layer in range(n_layers):
             hidden = model.layer_forward(state, layer)
-            ledger.add(Event.DECODER_LAYER)
             if layer >= n_layers - 1 or layer < cfg.min_exit_layer:
                 continue
             if not sched.is_active(layer):
                 continue
             spec_logits = model.lm_head_slice(hidden, spec_tokens)
-            ledger.add(Event.LM_HEAD_SLICE, units=d)
             features = self._extractor.extract(self._pad_draft_logits(spec_logits, k))
-            ledger.add(Event.PREDICTOR)
             predictor_evals += 1
             probability = self.predictors.probability(layer, features)
             if probability < threshold:
                 continue
             if cfg.verify_on_exit:
                 verify_attempts += 1
-                ledger.add(Event.LM_HEAD_FULL)
                 verdict = verify_exit(model, hidden, spec_tokens)
                 if verdict.ok:
                     exit_token, exit_layer = verdict.token, layer
@@ -272,16 +258,12 @@ class SpecEEEngine:
                 exit_layer = layer
                 break
 
-        if exit_token is None:
-            ledger.add(Event.LM_HEAD_FULL)
+        early = exit_token is not None
+        if not early:
             exit_token = int(np.argmax(model.lm_head_full(hidden)))
-            exit_layer = n_layers - 1
-        else:
-            # Early exit skips the remaining layers; the KV slots they would
-            # have produced are filled from the exit hidden state.
-            ledger.add(Event.KV_FILL, units=n_layers - 1 - exit_layer)
-
-        early = exit_layer < n_layers - 1
+        self._charge_step(result.ledger, exit_layer + 1, predictor_evals, d,
+                          verify_attempts + (not early),
+                          n_layers - 1 - exit_layer)
         if forced is not None:
             from repro.utils.mathx import log_softmax
 
@@ -290,8 +272,6 @@ class SpecEEEngine:
         model.commit(state, exit_token, exit_layer)
         if early:
             sched.observe_exit(exit_layer)
-        ledger.tokens_generated += 1
-        ledger.steps += 1
         record = StepRecord(
             token=exit_token, exit_layer=exit_layer, early_exit=early,
             predictor_evals=predictor_evals, verify_attempts=verify_attempts,
@@ -302,6 +282,24 @@ class SpecEEEngine:
         result.exit_layers.append(exit_layer)
         result.records.append(record)
         return record
+
+    @staticmethod
+    def _charge_step(ledger: CostLedger, layers: int, evals: int, draft_len: int,
+                     full_heads: int, skipped: int) -> None:
+        """Record one decode step with one ledger write per event kind, in
+        the order a step first emits them — pricing sums a ledger in
+        insertion order, so the order is part of the modelled clock."""
+        ledger.add(Event.DRAFT_STEP)
+        ledger.add(Event.DECODER_LAYER, calls=layers)
+        if evals:
+            ledger.add(Event.LM_HEAD_SLICE, calls=evals, units=evals * draft_len)
+            ledger.add(Event.PREDICTOR, calls=evals)
+        if full_heads:
+            ledger.add(Event.LM_HEAD_FULL, calls=full_heads)
+        if skipped:
+            ledger.add(Event.KV_FILL, units=skipped)
+        ledger.tokens_generated += 1
+        ledger.steps += 1
 
     @staticmethod
     def _pad_draft_logits(spec_logits: np.ndarray, k: int) -> np.ndarray:
@@ -334,14 +332,13 @@ class SpecEEEngine:
         batch of sequences still alive at that depth
         (:meth:`~repro.model.base.LayeredLM.layer_forward_batch`), and
         sequences drop out of the batch the moment their exit verifies — the
-        SpecEE layer-skip shape, now with shrinking GEMMs.  With
-        :attr:`batched_predictors` set (the default) the per-layer exit
-        machinery is vectorized too: one LM-head slice over the union of all
-        live sequences' draft tokens, one feature-extraction pass and one MLP
-        forward score the whole block, replacing the per-sequence python
-        loop.  Backends without real batched math
-        (``supports_batched_decode`` False) fall back to a scalar
-        :meth:`step` loop.
+        SpecEE layer-skip shape, now with shrinking GEMMs.  The per-layer
+        exit check is merged across the batch too: one LM-head slice over the
+        union of all live sequences' draft tokens, one feature-extraction
+        pass and one MLP forward score the whole block, and one full-head
+        GEMM verifies every sequence whose predictor fired.  Backends without
+        real batched math (``supports_batched_decode`` False) fall back to a
+        scalar :meth:`step` loop.
 
         ``exit_thresholds`` / ``draft_lens`` carry per-sequence adaptive
         control overrides (see :meth:`step`), aligned with ``states``; both
@@ -370,12 +367,6 @@ class SpecEEEngine:
 
         spec_tokens = [self.speculator.propose(state.context) for state in states]
         draft_hits = [self.speculator.is_hit(state.context) for state in states]
-        while len(self._extractor_pool) < b:
-            self._extractor_pool.append(FeatureExtractor(cfg.num_speculative))
-        extractors = self._extractor_pool[:b]
-        for result, extractor in zip(results, extractors):
-            result.ledger.add(Event.DRAFT_STEP)
-            extractor.reset()
 
         n_layers = model.n_layers
         # Load-shortened drafts, padded back to width k by repeating the top
@@ -393,9 +384,9 @@ class SpecEEEngine:
         predictor_evals = [0] * b
         verify_attempts = [0] * b
         active_predictors = [sched.active_count() for sched in schedulers]
-        # Vectorized-path feature history, mirroring FeatureExtractor's state:
-        # each row's last evaluated local probabilities plus a validity bit
-        # (the first evaluated layer of a step reports zero variation).
+        # Feature history, mirroring FeatureExtractor's state: each row's
+        # last evaluated local probabilities plus a validity bit (the first
+        # evaluated layer of a step reports zero variation).
         last_probs = np.zeros((b, k))
         has_last = np.zeros(b, dtype=bool)
 
@@ -405,91 +396,60 @@ class SpecEEEngine:
             new = model.layer_forward_batch([states[i] for i in live], layer,
                                             hidden[live])
             hidden[live] = new
-            for i in live:
-                results[i].ledger.add(Event.DECODER_LAYER)
             if layer >= n_layers - 1 or layer < cfg.min_exit_layer:
                 continue
-            scored: Dict[int, Tuple[np.ndarray, float]] = {}
-            if self.batched_predictors:
-                # One pass scores every scheduler-active sequence: slice the
-                # LM head once over the union of all draft tokens, gather
-                # each row's own candidates back out, extract features and
-                # run the layer's MLP over the whole block.
-                active = [(pos, i) for pos, i in enumerate(live)
-                          if schedulers[i].is_active(layer)]
-                if active:
-                    rows = [pos for pos, _ in active]
-                    idxs = [i for _, i in active]
-                    union, inverse = np.unique(
-                        np.concatenate([cand[i] for i in idxs]),
-                        return_inverse=True)
-                    sliced = model.lm_head_slice_batch(new[rows], union)
-                    cols = inverse.reshape(len(idxs), k)
-                    local = sliced[np.arange(len(idxs))[:, None], cols]
-                    pad = np.arange(k)[None, :] >= d_arr[idxs][:, None]
-                    if pad.any():
-                        # Padded columns gathered token-0's (real) logit, so
-                        # the row min equals the min over the real columns.
-                        floor = local.min(axis=1, keepdims=True) - DRAFT_PAD_MARGIN
-                        local = np.where(pad, floor, local)
-                    feats, probs = FeatureExtractor.extract_rows(
-                        local, last_probs[idxs], has_last[idxs])
-                    last_probs[idxs] = probs
-                    has_last[idxs] = True
-                    scores = self.predictors.probability_batch(layer, feats)
-                    scored = {i: (local[j], float(scores[j]))
-                              for j, i in enumerate(idxs)}
-            still: List[int] = []
-            for pos, i in enumerate(live):
-                if self.batched_predictors:
-                    if i not in scored:
-                        still.append(i)
-                        continue
-                    local_logits, probability = scored[i]
-                else:
-                    if not schedulers[i].is_active(layer):
-                        still.append(i)
-                        continue
-                    local_logits = model.lm_head_slice(
-                        new[pos], spec_tokens[i][:ds[i]])
-                    probability = self.predictors.probability(
-                        layer, extractors[i].extract(
-                            self._pad_draft_logits(local_logits, k)))
-                ledger = results[i].ledger
-                ledger.add(Event.LM_HEAD_SLICE, units=ds[i])
-                ledger.add(Event.PREDICTOR)
+            rows = [pos for pos, i in enumerate(live)
+                    if schedulers[i].is_active(layer)]
+            if not rows:
+                continue
+            # One pass scores every scheduler-active sequence: slice the LM
+            # head once over the union of all draft tokens, gather each row's
+            # own candidates back out, extract features and run the layer's
+            # MLP over the whole block.
+            idxs = [live[pos] for pos in rows]
+            union, inverse = np.unique(cand[idxs], return_inverse=True)
+            sliced = model.lm_head_slice_batch(new[rows], union)
+            local = sliced[np.arange(len(idxs))[:, None],
+                           inverse.reshape(len(idxs), k)]
+            pad = np.arange(k)[None, :] >= d_arr[idxs][:, None]
+            if pad.any():
+                # Padded columns gathered token-0's (real) logit, so the row
+                # min equals the min over the real columns.
+                floor = local.min(axis=1, keepdims=True) - DRAFT_PAD_MARGIN
+                local = np.where(pad, floor, local)
+            feats, probs = FeatureExtractor.extract_rows(
+                local, last_probs[idxs], has_last[idxs])
+            last_probs[idxs] = probs
+            has_last[idxs] = True
+            scores = self.predictors.probability_batch(layer, feats)
+            for i in idxs:
                 predictor_evals[i] += 1
-                if probability < ths[i]:
-                    still.append(i)
-                    continue
-                if cfg.verify_on_exit:
+            fired = [j for j, i in enumerate(idxs) if scores[j] >= ths[i]]
+            if not fired:
+                continue
+            hits = [idxs[j] for j in fired]
+            if cfg.verify_on_exit:
+                # One full-head GEMM verifies every sequence whose predictor
+                # fired at this layer.
+                verdicts = verify_exits(model, new[[rows[j] for j in fired]],
+                                        [spec_tokens[i][:ds[i]] for i in hits])
+                for i, verdict in zip(hits, verdicts):
                     verify_attempts[i] += 1
-                    ledger.add(Event.LM_HEAD_FULL)
-                    verdict = verify_exit(model, new[pos], spec_tokens[i][:ds[i]])
                     if verdict.ok:
                         exit_token[i], exit_layer[i] = verdict.token, layer
-                    else:
-                        still.append(i)
-                else:
-                    # Unverified exit (ablation only): trust the top local token.
-                    exit_token[i] = int(spec_tokens[i][int(np.argmax(local_logits))])
+            else:
+                # Unverified exit (ablation only): trust the top local token.
+                for j, i in zip(fired, hits):
+                    exit_token[i] = int(spec_tokens[i][int(np.argmax(local[j]))])
                     exit_layer[i] = layer
-            live = still
+            live = [i for i in live if exit_token[i] is None]
             if not live:
                 break
 
-        finals = [i for i in range(b) if exit_token[i] is None]
-        if finals:
-            logits = model.lm_head_full_batch(hidden[finals])
-            for row, i in zip(logits, finals):
-                results[i].ledger.add(Event.LM_HEAD_FULL)
-                exit_token[i] = int(np.argmax(row))
-                exit_layer[i] = n_layers - 1
-
-        for i in range(b):
-            if exit_layer[i] < n_layers - 1:
-                results[i].ledger.add(Event.KV_FILL,
-                                      units=n_layers - 1 - exit_layer[i])
+        if live:
+            finals = np.argmax(model.lm_head_full_batch(hidden[live]), axis=-1)
+            for i, token in zip(live, finals):
+                exit_token[i] = int(token)
         model.commit_batch(states, exit_token, exit_layer)
 
         records: List[StepRecord] = []
@@ -497,9 +457,10 @@ class SpecEEEngine:
             early = exit_layer[i] < n_layers - 1
             if early:
                 schedulers[i].observe_exit(exit_layer[i])
-            ledger = results[i].ledger
-            ledger.tokens_generated += 1
-            ledger.steps += 1
+            self._charge_step(results[i].ledger, exit_layer[i] + 1,
+                              predictor_evals[i], ds[i],
+                              verify_attempts[i] + (not early),
+                              n_layers - 1 - exit_layer[i])
             record = StepRecord(
                 token=exit_token[i], exit_layer=exit_layer[i], early_exit=early,
                 predictor_evals=predictor_evals[i],

@@ -51,6 +51,7 @@ class FeatureExtractor:
             raise ValueError("k must be >= 1")
         self.k = k
         self._last_probs: Optional[np.ndarray] = None
+        self._features = np.zeros(3 * k)
 
     @property
     def feature_dim(self) -> int:
@@ -60,26 +61,23 @@ class FeatureExtractor:
         self._last_probs = None
 
     def extract(self, spec_logits: np.ndarray) -> np.ndarray:
-        """Build the 3k-dim feature vector from sliced logits."""
-        spec_logits = np.asarray(spec_logits, dtype=np.float64)
-        if spec_logits.shape != (self.k,):
-            raise ValueError(f"expected {self.k} sliced logits, got {spec_logits.shape}")
-        local_probs = softmax(spec_logits)
-        if self._last_probs is None:
-            variation = np.zeros(self.k)
-        else:
-            variation = local_probs - self._last_probs
-        self._last_probs = local_probs
-        return np.concatenate([spec_logits, local_probs, variation])
+        """Build the 3k-dim feature vector from sliced logits.
 
-    def extract_batch(self, spec_logits: np.ndarray, last_probs: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Stateless batched variant for tree mode: ``spec_logits`` is
-        ``[m, k]``; returns (features ``[m, 3k]``, new last_probs ``[m, k]``)."""
-        spec_logits = np.asarray(spec_logits, dtype=np.float64)
-        probs = softmax(spec_logits, axis=-1)
-        variation = np.zeros_like(probs) if last_probs is None else probs - last_probs
-        feats = np.concatenate([spec_logits, probs, variation], axis=-1)
-        return feats, probs
+        The vector is written into one buffer the extractor owns and reuses:
+        it is valid until the next call — copy it to keep it.
+        """
+        k, feats = self.k, self._features
+        if np.shape(spec_logits) != (k,):
+            raise ValueError(f"expected {k} sliced logits, got {np.shape(spec_logits)}")
+        feats[:k] = spec_logits
+        local_probs = softmax(feats[:k])
+        feats[k:2 * k] = local_probs
+        if self._last_probs is None:
+            feats[2 * k:] = 0.0
+        else:
+            np.subtract(local_probs, self._last_probs, out=feats[2 * k:])
+        self._last_probs = local_probs
+        return feats
 
     @staticmethod
     def extract_rows(

@@ -31,15 +31,12 @@ class ExitPredictor:
 
     def probability(self, features: np.ndarray) -> float:
         """Exit probability for one feature vector."""
-        return float(self.mlp.forward(np.asarray(features, dtype=np.float64)))
+        return float(self.mlp.forward(features))
 
     def probability_batch(self, features: np.ndarray) -> np.ndarray:
         """Exit probabilities for ``[m, feature_dim]`` rows in one MLP pass."""
         features = np.asarray(features, dtype=np.float64)
         return np.asarray(self.mlp.forward(features), dtype=np.float64).reshape(-1)
-
-    def should_exit(self, features: np.ndarray, threshold: float = 0.5) -> bool:
-        return self.probability(features) >= threshold
 
     def fit(self, x: np.ndarray, y: np.ndarray, **kwargs):
         return self.mlp.fit(x, y, **kwargs)
@@ -94,9 +91,6 @@ class PredictorBank:
         if layer not in self.predictors:
             raise KeyError(f"no predictor for layer {layer}")
         return self.predictors[layer].probability_batch(features)
-
-    def should_exit(self, layer: int, features: np.ndarray, threshold: float = 0.5) -> bool:
-        return self.probability(layer, features) >= threshold
 
     def accuracy(self, layer: int, x: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> float:
         """Classification accuracy of one layer's predictor on held-out data."""

@@ -11,7 +11,7 @@ Updates are O(vicinity) per token.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class OnlineScheduler:
     @property
     def active_count(self) -> int:
         return int(np.count_nonzero(self._counts > 0))
-
-    def recent_exits(self) -> List[int]:
-        return self._queue.to_list()
 
     def reset(self) -> None:
         self._queue.clear()

@@ -204,10 +204,6 @@ class SpecEESpeculativeEngine:
 
     # -- helpers ---------------------------------------------------------------
     @staticmethod
-    def _root_nodes(tree: DraftTree) -> List[int]:
-        return [i for i, p in enumerate(tree.parents) if p < 0]
-
-    @staticmethod
     def _argmax_walk(
         tree: DraftTree,
         per_node_logits: Sequence[np.ndarray],

@@ -10,13 +10,13 @@ greedy choice.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.model.base import LayeredLM
 
-__all__ = ["VerifyResult", "verify_exit"]
+__all__ = ["VerifyResult", "verify_exit", "verify_exits"]
 
 
 class VerifyResult(NamedTuple):
@@ -34,6 +34,21 @@ def verify_exit(
     The caller is responsible for charging the ``lm_head_full`` cost event —
     verification is exactly one full projection.
     """
-    logits = model.lm_head_full(hidden)
-    token = int(np.argmax(logits))
-    return VerifyResult(ok=token in set(int(t) for t in spec_tokens), token=token)
+    return _verdict(int(np.argmax(model.lm_head_full(hidden))), spec_tokens)
+
+
+def verify_exits(
+    model: LayeredLM, hidden: np.ndarray, candidates: Sequence[Sequence[int]]
+) -> List[VerifyResult]:
+    """:func:`verify_exit` for every row of ``hidden`` ([m, dim]) against its
+    own ``candidates[i]`` (possibly load-shortened), through one full-head
+    GEMM — the caller charges one ``lm_head_full`` per row."""
+    tokens = np.argmax(model.lm_head_full_batch(hidden), axis=-1)
+    return [_verdict(int(token), spec_tokens)
+            for token, spec_tokens in zip(tokens, candidates)]
+
+
+def _verdict(token: int, spec_tokens: Sequence[int]) -> VerifyResult:
+    """The check itself: exit only with the global argmax, and only if the
+    draft proposed it."""
+    return VerifyResult(ok=any(token == t for t in spec_tokens), token=token)

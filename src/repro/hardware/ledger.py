@@ -64,9 +64,11 @@ class CostLedger:
     steps: int = 0  # host-loop iterations (== tokens for AR, < tokens for trees)
 
     def add(self, kind: str, calls: float = 1.0, units: float | None = None) -> None:
-        if kind not in Event.ALL:
-            raise ValueError(f"unknown event kind {kind!r}")
-        entry = self._entries.setdefault(kind, _Entry())
+        entry = self._entries.get(kind)
+        if entry is None:
+            if kind not in Event.ALL:
+                raise ValueError(f"unknown event kind {kind!r}")
+            entry = self._entries[kind] = _Entry()
         entry.calls += calls
         entry.units += units if units is not None else calls
 

@@ -56,10 +56,6 @@ class StepPlan:
     transient: Optional[Tuple[int, int, int]]  # (token, first_layer, last_layer)
     noise_key: int
 
-    @property
-    def has_transient(self) -> bool:
-        return self.transient is not None
-
 
 class SyntheticState(LMState):
     """LMState plus the difficulty process and the current plan."""

@@ -40,9 +40,10 @@ class TransformerState(LMState):
 #:   per-layer cost, so early exits save no wall-clock time.
 #: * ``"propagate"`` — project the exit hidden state through each skipped
 #:   layer's K/V weights only (hidden-state propagation, the standard
-#:   treatment in early-exit LLM systems).  Two GEMVs + a rotation per
-#:   skipped layer instead of a full layer, which is what turns exits into
-#:   measured speedup; replay happens per step at the recorded exit depths.
+#:   treatment in early-exit LLM systems).  One fused projection + rotation
+#:   for all skipped layers (:meth:`TinyTransformerLM.kv_fill`) instead of
+#:   full layers, which is what turns exits into measured speedup; replay
+#:   happens per step at the recorded exit depths.
 KV_FILL_MODES = ("full", "propagate")
 
 
@@ -142,16 +143,17 @@ class TransformerLayeredLM(LayeredLM):
     def commit(self, state: TransformerState, token: int, exit_layer: int) -> None:
         if state.hidden is None:
             raise RuntimeError("commit without begin_step")
-        # Fill KV for skipped layers so the cache stays rectangular: cheap
-        # K/V projection of the exit hidden per layer in "propagate" mode,
-        # full remaining layers in "full" mode.
+        # Fill KV for skipped layers so the cache stays rectangular: one fused
+        # K/V projection of the exit hidden in "propagate" mode, full
+        # remaining layers in "full" mode.
         position = np.asarray([len(state.context) - 1])
+        first = state.layer_cursor + 1
         if self.kv_fill == "propagate":
-            for layer in range(state.layer_cursor + 1, self.n_layers):
-                self.lm.layer_kv_fill(state.hidden, layer, [state.cache], position)
+            if first < self.n_layers:
+                self.lm.kv_fill(state.hidden, [first], [state.cache], position)
         else:
             hidden = state.hidden
-            for layer in range(state.layer_cursor + 1, self.n_layers):
+            for layer in range(first, self.n_layers):
                 hidden = self.lm.layer_forward(hidden, layer, state.cache, position)
         state.context.append(int(token))
         state.exit_layers.append(int(exit_layer))
@@ -212,34 +214,30 @@ class TransformerLayeredLM(LayeredLM):
     ) -> None:
         """Commit one token per sequence with batched KV propagation.
 
-        Sequences exited at different depths, so the hidden-state fill runs
-        layer by layer over the subset of sequences whose cursor is still
-        above that depth — the batch grows as the depth passes each exit
-        layer, mirroring how it shrank on the way down.
+        Sequences exited at different depths.  ``"propagate"`` fills every
+        early exiter's skipped layers from its exit hidden in one fused
+        :meth:`TinyTransformerLM.kv_fill`; ``"full"`` runs the remaining
+        layers over the subset of sequences whose cursor is still above each
+        depth — the batch grows as the depth passes each exit layer,
+        mirroring how it shrank on the way down.
         """
-        if not states:
-            return
         for state in states:
             if state.hidden is None:
                 raise RuntimeError("commit_batch without begin_step_batch")
-        hidden = np.vstack([state.hidden for state in states])
-        positions = np.asarray([len(state.context) - 1 for state in states])
         cursors = [state.layer_cursor for state in states]
-        for layer in range(self.n_layers):
-            idx = [i for i, cursor in enumerate(cursors) if cursor < layer]
-            if not idx:
-                continue
+        early = [i for i, cursor in enumerate(cursors) if cursor + 1 < self.n_layers]
+        if early:
+            hidden = np.vstack([states[i].hidden for i in early])
+            positions = np.asarray([len(states[i].context) - 1 for i in early])
+            caches = [states[i].cache for i in early]
+            firsts = [cursors[i] + 1 for i in early]
             if self.kv_fill == "propagate":
-                # One stacked K/V projection of the exit hiddens per layer;
-                # the hidden states are not advanced (the fill reads the exit
-                # activation for every skipped depth).
-                self.lm.layer_kv_fill(
-                    hidden[idx], layer, [states[i].cache for i in idx],
-                    positions[idx])
-                continue
-            sub = self.lm.layer_decode_batch(
-                hidden[idx], layer, [states[i].cache for i in idx], positions[idx])
-            hidden[idx] = sub
+                self.lm.kv_fill(hidden, firsts, caches, positions)
+            else:
+                for layer in range(min(firsts), self.n_layers):
+                    idx = [j for j, first in enumerate(firsts) if first <= layer]
+                    hidden[idx] = self.lm.layer_decode_batch(
+                        hidden[idx], layer, [caches[j] for j in idx], positions[idx])
         for state, token, exit_layer in zip(states, tokens, exit_layers):
             state.context.append(int(token))
             state.exit_layers.append(int(exit_layer))
@@ -301,5 +299,5 @@ class TransformerLayeredLM(LayeredLM):
             hidden = self.lm.embed(np.asarray([state.context[p - 1 + i]]))
             for layer in range(int(exit_layer) + 1):
                 hidden = self.lm.layer_forward(hidden, layer, state.cache, position)
-            for layer in range(int(exit_layer) + 1, self.n_layers):
-                self.lm.layer_kv_fill(hidden, layer, [state.cache], position)
+            if exit_layer + 1 < self.n_layers:
+                self.lm.kv_fill(hidden, [int(exit_layer) + 1], [state.cache], position)

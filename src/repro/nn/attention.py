@@ -81,6 +81,24 @@ class KVCache:
         self._v[layer, :, start : start + t] = v
         self._lengths[layer] = start + t
 
+    def append_layers(self, first_layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Append one token's ``[n_layers - first_layer, n_kv_heads,
+        head_dim]`` keys/values to every layer from ``first_layer`` on with
+        one slice assignment — the early-exit fill writes all of a step's
+        skipped layers, which share one filled length, at once."""
+        lengths = self._lengths[first_layer:]
+        start = int(lengths[0])
+        if (lengths != start).any():
+            raise ValueError(
+                f"layers from {first_layer} on hold unequal lengths {lengths.tolist()}")
+        if start + 1 > self.max_tokens:
+            raise ValueError(
+                f"KV cache overflow at layer {first_layer}: {start}+1 > {self.max_tokens}")
+        self._ensure_capacity(start + 1)
+        self._k[first_layer:, :, start] = k
+        self._v[first_layer:, :, start] = v
+        lengths += 1
+
     def view(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only views of the filled prefix for ``layer``."""
         n = self.length(layer)
@@ -91,10 +109,6 @@ class KVCache:
         if not 0 <= length <= self.length(layer):
             raise ValueError(f"cannot truncate layer {layer} to {length}")
         self._lengths[layer] = length
-
-    def truncate_all(self, length: int) -> None:
-        for layer in range(self.n_layers):
-            self.truncate(layer, min(length, self.length(layer)))
 
     def nbytes(self) -> int:
         return self._k.nbytes + self._v.nbytes
@@ -172,38 +186,25 @@ class CausalSelfAttention:
         self.wv = rng.normal(0.0, scale, size=(dim, self.n_kv_heads * self.head_dim))
         self.wo = rng.normal(0.0, scale, size=(n_heads * self.head_dim, dim))
         self.rope = RotaryEmbedding(self.head_dim, max_positions=max_positions)
-        # Stacked inference layouts: one GEMM yields Q, K and V (or just K
-        # and V for the early-exit fill) for a whole decode batch.  Cached
-        # C-contiguous so the hot path never re-concatenates or transposes.
+        # Stacked inference layout: one GEMM yields Q, K and V for a whole
+        # decode batch.  Cached C-contiguous so the hot path never
+        # re-concatenates or transposes.
+        self.wqkv: Optional[np.ndarray] = None
         self.refresh_stacked_weights()
 
-    def refresh_stacked_weights(self) -> None:
-        """Rebuild the cached contiguous stacked projections.
+    def refresh_stacked_weights(self, out: Optional[np.ndarray] = None) -> None:
+        """Rebuild the cached contiguous stacked QKV projection.
 
-        Must be called whenever ``wq``/``wk``/``wv`` are replaced wholesale —
-        the weight exporter (``repro.training.export``) copies trained
-        matrices in and then refreshes these caches.
+        Must be called whenever ``wq``/``wk``/``wv`` are replaced wholesale.
+        ``out`` rebinds ``wqkv`` to caller-owned storage:
+        :class:`~repro.nn.transformer.TinyTransformerLM` hands every layer a
+        slice of one ``[L, dim, q + 2 kv]`` array so the early-exit KV fill
+        reads all layers' K/V columns as one stacked operand.  Without
+        ``out`` the current storage is rewritten in place, so such a slice
+        stays bound and the fill can never read stale weights.
         """
-        self.wqkv = np.ascontiguousarray(np.concatenate([self.wq, self.wk, self.wv], axis=1))
-        self.wkv = np.ascontiguousarray(np.concatenate([self.wk, self.wv], axis=1))
-
-    def project_kv(
-        self, x: np.ndarray, positions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """K/V rows for ``x`` ([B, dim], already attn-normed) at ``positions``.
-
-        The cheap early-exit KV fill: one ``[B, dim] x [dim, 2*kv_dim]`` GEMM
-        plus the key rotation — no attention, no output projection, no FFN.
-        Returns ``(k, v)`` each shaped ``[B, n_kv_heads, head_dim]``.
-        """
-        b = x.shape[0]
-        kv_dim = self.n_kv_heads * self.head_dim
-        kv = x @ self.wkv
-        k = kv[:, :kv_dim].reshape(b, self.n_kv_heads, self.head_dim)
-        v = kv[:, kv_dim:].reshape(b, self.n_kv_heads, self.head_dim)
-        cos, sin = self.rope.tables_for(positions)
-        k = apply_rope(k, cos[:, None, :], sin[:, None, :])
-        return k, v
+        self.wqkv = np.concatenate([self.wq, self.wk, self.wv], axis=1,
+                                   out=self.wqkv if out is None else out)
 
     def forward(
         self,

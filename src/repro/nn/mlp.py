@@ -64,14 +64,11 @@ class MLPClassifier:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Probability of the positive class for ``x`` [N, in_dim] or [in_dim]."""
-        single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h = self._standardize(h)
+        h = self._standardize(np.asarray(x, dtype=np.float64))
         for i in range(self.depth - 1):
             h = np.maximum(h @ self.weights[i] + self.biases[i], 0.0)
-        logits = (h @ self.weights[-1] + self.biases[-1])[:, 0]
-        probs = sigmoid(logits)
-        return float(probs[0]) if single else probs
+        # A single vector stays 1-D throughout and comes out as a float.
+        return sigmoid((h @ self.weights[-1] + self.biases[-1])[..., 0])
 
     __call__ = forward
 

@@ -24,7 +24,7 @@ import numpy as np
 from repro.nn.attention import CausalSelfAttention, KVCache
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Embedding, Linear, Module, RMSNorm, SwiGLU
-from repro.nn.rope import RotaryEmbedding
+from repro.nn.rope import RotaryEmbedding, apply_rope
 
 __all__ = [
     "TransformerConfig", "TinyTransformerLM", "TrainableTransformerLM",
@@ -115,19 +115,6 @@ class _DecoderLayer:
         x = x + self.ffn.forward_np(self.ffn_norm.forward_np(x))
         return x
 
-    def kv_fill(
-        self, x: np.ndarray, layer: int, caches: List[KVCache], positions: np.ndarray
-    ) -> None:
-        """Append this layer's K/V synthesised from exit hidden ``x`` [B, dim].
-
-        The cheap early-exit fill: project the attn-normed hidden through the
-        stacked K/V weights and append — no attention or FFN, so skipping the
-        layer actually saves its wall-clock cost.
-        """
-        k, v = self.attn.project_kv(self.attn_norm.forward_np(x), positions)
-        for i, cache in enumerate(caches):
-            cache.append(layer, k[i][:, None, :], v[i][:, None, :])
-
 
 class TinyTransformerLM:
     """Inference-only transformer with layer-resolved forward.
@@ -147,6 +134,39 @@ class TinyTransformerLM:
         ]
         self.final_norm = RMSNorm(cfg.dim)
         self.lm_head_weight = rng.normal(0.0, emb_scale, size=(cfg.dim, cfg.vocab_size))
+        self.refresh_stacked_weights()
+
+    def refresh_stacked_weights(self) -> None:
+        """Rebuild every weight layout derived from another — the one
+        invalidation point, to be called after weights are replaced (the
+        exporter in ``repro.training.export`` does).
+
+        All layers' stacked QKV projections live in one ``[L, dim, q + 2 kv]``
+        array (each layer's ``attn.wqkv`` is its slice, so nothing is stored
+        twice) whose K/V columns :meth:`kv_fill` multiplies as one stacked
+        operand, next to the ``[L, dim]`` stack of attention-norm gains;
+        ``lm_head_rows`` is the LM head transposed to ``[V, dim]`` so the
+        speculative slice gathers contiguous rows.
+        """
+        attns = [block.attn for block in self.layers]
+        width = attns[0].wq.shape[1] + 2 * attns[0].wk.shape[1]
+        self._wqkv = np.empty((len(attns), self.cfg.dim, width))
+        for attn, out in zip(attns, self._wqkv):
+            attn.refresh_stacked_weights(out)
+        self._attn_gains = np.stack(
+            [block.attn_norm.weight.data for block in self.layers])
+        self.lm_head_rows = np.ascontiguousarray(self.lm_head_weight.T)
+
+    _DERIVED = ("_wqkv", "_attn_gains", "lm_head_rows")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._DERIVED}
+
+    def __setstate__(self, state: dict) -> None:
+        # Views do not survive pickling (each layer's slice comes back as its
+        # own array), so the shared storage is rebuilt after loading.
+        self.__dict__.update(state)
+        self.refresh_stacked_weights()
 
     def new_cache(self, max_tokens: int) -> KVCache:
         head_dim = self.cfg.dim // self.cfg.n_heads
@@ -172,23 +192,45 @@ class TinyTransformerLM:
         token per sequence, each with its own cache and absolute position)."""
         return self.layers[layer].decode_batch(hidden, layer, caches, positions)
 
-    def layer_kv_fill(
+    def kv_fill(
         self,
         hidden: np.ndarray,
-        layer: int,
-        caches: List[KVCache],
+        first_layers: Sequence[int],
+        caches: Sequence[KVCache],
         positions: np.ndarray,
     ) -> None:
-        """Synthesise layer ``layer``'s K/V from exit hidden ``hidden``
-        ([B, dim]) and append to each cache — the cheap early-exit fill."""
-        self.layers[layer].kv_fill(hidden, layer, caches, positions)
+        """The early-exit KV fill: row ``i`` of ``hidden`` ([B, dim]) exited
+        before layer ``first_layers[i]``, and every layer from there on gets
+        K/V projected from that same exit activation at ``positions[i]``.
+
+        No attention, no output projection, no FFN — and because all skipped
+        layers read one hidden at one position, the RMS normalisation runs
+        once, the per-layer norm gains and K/V weights apply as one stacked
+        matmul, one rotation covers every layer's keys, and each cache takes
+        its layers in one slice append.
+        """
+        lo = min(first_layers)
+        attn, norm = self.layers[lo].attn, self.layers[lo].attn_norm
+        kv_dim = attn.n_kv_heads * attn.head_dim
+        # RMSNorm.forward_np's arithmetic, with the gain applied per layer.
+        ms = np.add.reduce(hidden * hidden, axis=-1, keepdims=True) / hidden.shape[-1]
+        x = hidden / np.sqrt(ms + norm.eps)
+        kv = np.matmul(x * self._attn_gains[lo:, None, :],
+                       self._wqkv[lo:, :, -2 * kv_dim:])
+        shape = (self.cfg.n_layers - lo, len(caches), attn.n_kv_heads, attn.head_dim)
+        cos, sin = attn.rope.tables_for(positions)  # [B, head_dim/2]
+        k = apply_rope(kv[..., :kv_dim].reshape(shape), cos[:, None, :], sin[:, None, :])
+        v = kv[..., kv_dim:].reshape(shape)
+        for i, cache in enumerate(caches):
+            first = first_layers[i]
+            cache.append_layers(first, k[first - lo:, i], v[first - lo:, i])
 
     def lm_head(self, hidden: np.ndarray) -> np.ndarray:
         return self.final_norm.forward_np(hidden) @ self.lm_head_weight
 
     def lm_head_slice(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-        cols = self.lm_head_weight[:, np.asarray(token_ids, dtype=np.int64)]
-        return self.final_norm.forward_np(hidden) @ cols
+        rows = self.lm_head_rows[np.asarray(token_ids, dtype=np.int64)]
+        return self.final_norm.forward_np(hidden) @ rows.T
 
     def forward_all(
         self, token_ids: np.ndarray, cache: KVCache, positions: np.ndarray

@@ -57,11 +57,17 @@ class DistilledNGramDraft:
             order: {} for order in self.orders
         }
         self.global_counts: Counter = Counter()
+        # Each counter's tokens, most-supported first, ranked on first use:
+        # the tables are frozen once distilled, so :meth:`propose` sorts a
+        # context window once, not once per token.  Keyed by window (``()``
+        # is the global table); :meth:`_record` clears it.
+        self._ranked: Dict[Tuple[int, ...], List[int]] = {}
         self._hits = 0
         self._events = 0
 
     # -- fitting -------------------------------------------------------------
     def _record(self, context: Sequence[int], token: int) -> None:
+        self._ranked.clear()
         self._events += 1
         if self.is_hit(context):
             self._hits += 1
@@ -139,29 +145,25 @@ class DistilledNGramDraft:
         with unseen token ids if the tables cannot fill ``k`` slots.
         """
         out: List[int] = []
-        seen = set()
-
-        def extend(counter: Counter) -> bool:
-            for token, _ in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])):
-                if token not in seen:
-                    seen.add(token)
+        tail = tuple(int(t) for t in context[-self.orders[0]:])
+        windows = [tail[-order:] for order in self.orders if len(context) >= order]
+        for window in windows + [()]:
+            ranked = self._ranked.get(window)
+            if ranked is None:
+                counter = (self.tables[len(window)].get(window) if window
+                           else self.global_counts)
+                if not counter:
+                    continue
+                ranked = self._ranked[window] = [token for token, _ in sorted(
+                    counter.items(), key=lambda kv: (-kv[1], kv[0]))]
+            for token in ranked:
+                if token not in out:
                     out.append(token)
                     if len(out) == self.k:
-                        return True
-            return False
-
-        for order in self.orders:
-            if len(context) < order:
-                continue
-            window = tuple(int(t) for t in context[-order:])
-            counter = self.tables[order].get(window)
-            if counter and extend(counter):
-                return out
-        if extend(self.global_counts):
-            return out
+                        return out
         token = 0
         while len(out) < self.k:
-            if token not in seen:
+            if token not in out:
                 out.append(token)
             token += 1
         return out

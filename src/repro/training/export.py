@@ -5,8 +5,9 @@
 ``[in, out]`` applied as ``x @ W``) and — by construction of
 :func:`repro.nn.transformer.rope_constants` — the exact rotary arithmetic,
 so the export is a plain weight copy.  The only inference-side bookkeeping
-is :meth:`CausalSelfAttention.refresh_stacked_weights`, which rebuilds the
-cached contiguous QKV/KV stacks the decode hot path reads.
+is :meth:`TinyTransformerLM.refresh_stacked_weights`, which rebuilds the
+derived layouts the decode hot path reads (the stacked QKV projections the
+early-exit KV fill shares, and the transposed LM-head table).
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ def export_inference_lm(trained: TrainableTransformerLM) -> TinyTransformerLM:
         dst.attn.wk = src.wk.weight.data.copy()
         dst.attn.wv = src.wv.weight.data.copy()
         dst.attn.wo = src.wo.weight.data.copy()
-        dst.attn.refresh_stacked_weights()
         np.copyto(dst.ffn_norm.weight.data, src.ffn_norm.weight.data)
         for name in ("gate", "up", "down"):
             getattr(dst.ffn, name).weight.data = (
                 getattr(src.ffn, name).weight.data.copy())
     np.copyto(lm.final_norm.weight.data, trained.final_norm.weight.data)
     lm.lm_head_weight = trained.lm_head.weight.data.copy()
+    lm.refresh_stacked_weights()
     return lm

@@ -42,13 +42,14 @@ def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     """Stable logistic function (no overflow for large |x|)."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:  # the exit predictor's per-token call: skip the masks
+        ex = np.exp(-abs(x))
+        return float(1.0 / (1.0 + ex) if x >= 0 else ex / (1.0 + ex))
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

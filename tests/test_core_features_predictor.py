@@ -53,12 +53,19 @@ class TestFeatureExtractor:
         ex = FeatureExtractor(3)
         a = np.array([1.0, 2.0, 0.5])
         b = np.array([2.0, 1.0, 0.5])
-        f1 = ex.extract(a)
+        f1 = ex.extract(a).copy()  # extract reuses one buffer
         f2 = ex.extract(b)
-        batch, probs = ex.extract_batch(np.stack([a]), None)
-        assert np.allclose(batch[0], f1)
-        batch2, _ = ex.extract_batch(np.stack([b]), probs)
-        assert np.allclose(batch2[0], f2)
+        batch, probs = FeatureExtractor.extract_rows(
+            np.stack([a]), np.zeros((1, 3)), np.array([False]))
+        assert np.array_equal(batch[0], f1)
+        batch2, _ = FeatureExtractor.extract_rows(
+            np.stack([b]), probs, np.array([True]))
+        assert np.array_equal(batch2[0], f2)
+
+    def test_extract_reuses_its_buffer(self):
+        ex = FeatureExtractor(2)
+        first = ex.extract(np.array([1.0, 0.0]))
+        assert ex.extract(np.array([0.0, 3.0])) is first
 
     def test_feature_names(self):
         names = feature_names(4)

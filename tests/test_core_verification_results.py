@@ -8,7 +8,7 @@ import pytest
 from repro.config import SimDims
 from repro.core.engine import GenerationResult, StepRecord
 from repro.core.spec_engine import IterationRecord, SpecDecodeResult
-from repro.core.verification import verify_exit
+from repro.core.verification import verify_exit, verify_exits
 from repro.hardware.ledger import CostLedger
 from repro.model.profiles import get_profile
 from repro.model.synthetic import SyntheticLayeredLM
@@ -47,6 +47,27 @@ class TestVerifyExit:
             verdict = verify_exit(lm, hidden, [plan.target])
             assert not verdict.ok
             assert verdict.token == plan.dominant
+
+    def test_batched_verify_equals_per_row(self, lm):
+        """One full-head GEMM over the rows, each checked against its own
+        candidates — including a load-shortened draft whose dropped tail
+        holds the global argmax, which must not exit."""
+        hidden = np.random.default_rng(5).standard_normal((12, lm.hidden_dim))
+        argmax = np.argmax(lm.lm_head_full_batch(hidden), axis=-1)
+        candidates = []
+        for row, top in enumerate(int(t) for t in argmax):
+            others = [t for t in range(4 * row, 4 * row + 5) if t != top]
+            if row % 3 == 0:
+                candidates.append([others[0], top, others[1], others[2]])
+            elif row % 3 == 1:
+                candidates.append(others[:4])
+            else:  # the draft [.., .., top, ..] shortened to its first two
+                candidates.append([others[0], others[1], top, others[2]][:2])
+        verdicts = verify_exits(lm, hidden, candidates)
+        assert verdicts == [verify_exit(lm, h, c) for h, c in zip(hidden, candidates)]
+        assert [v.ok for v in verdicts] == [row % 3 == 0 for row in range(12)]
+        assert [v.token for v in verdicts] == [int(t) for t in argmax]
+        assert verify_exits(lm, hidden[:1], [np.asarray(candidates[0])])[0].ok
 
 
 def record(exit_layer, early=True, evals=3):

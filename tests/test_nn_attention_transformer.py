@@ -44,6 +44,29 @@ class TestKVCache:
         with pytest.raises(ValueError):
             cache.truncate(0, 5)
 
+    def test_append_layers_is_one_token_into_every_layer_from_first(self):
+        cache = KVCache(3, 2, 4, 8)
+        cache.append(0, np.ones((2, 1, 4)), np.ones((2, 1, 4)))
+        k = np.arange(2 * 2 * 4, dtype=float).reshape(2, 2, 4)
+        cache.append_layers(1, k, -k)
+        assert [cache.length(layer) for layer in range(3)] == [1, 1, 1]
+        for layer in (1, 2):
+            keys, values = cache.view(layer)
+            assert np.array_equal(keys[:, 0], k[layer - 1])
+            assert np.array_equal(values[:, 0], -k[layer - 1])
+
+    def test_append_layers_raises_on_overflow_and_unequal_lengths(self):
+        kv = np.zeros((2, 1, 2))
+        cache = KVCache(2, 1, 2, 1)
+        cache.append_layers(0, kv, kv)
+        with pytest.raises(ValueError, match="overflow"):
+            cache.append_layers(0, kv, kv)
+        ragged = KVCache(2, 1, 2, 8)
+        ragged.append(1, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
+        with pytest.raises(ValueError, match="unequal"):
+            ragged.append_layers(0, kv, kv)
+        assert [ragged.length(layer) for layer in range(2)] == [0, 1]
+
     def test_nbytes_positive(self):
         assert KVCache(2, 2, 4, 8).nbytes() > 0
 
@@ -169,6 +192,132 @@ class TestTinyTransformer:
         a = TinyTransformerLM(CFG, seed=5)
         b = TinyTransformerLM(CFG, seed=5)
         assert np.array_equal(a.embedding, b.embedding)
+
+
+def per_layer_kv_fill(lm, hidden, first_layers, caches, positions):
+    """The per-layer early-exit fill that ``TinyTransformerLM.kv_fill``
+    replaced, kept as its reference: for each layer, norm the exit hiddens of
+    the rows that skipped it, project through that layer's K/V weights,
+    rotate the keys and append sequence by sequence."""
+    from repro.nn.rope import apply_rope
+
+    for layer, block in enumerate(lm.layers):
+        idx = [i for i, first in enumerate(first_layers) if first <= layer]
+        if not idx:
+            continue
+        attn = block.attn
+        x = block.attn_norm.forward_np(hidden[idx])
+        shape = (len(idx), attn.n_kv_heads, attn.head_dim)
+        k, v = (x @ attn.wk).reshape(shape), (x @ attn.wv).reshape(shape)
+        cos, sin = attn.rope.tables_for(positions[idx])
+        k = apply_rope(k, cos[:, None, :], sin[:, None, :])
+        for row, i in enumerate(idx):
+            caches[i].append(layer, k[row][:, None, :], v[row][:, None, :])
+
+
+class TestFusedKVFill:
+    """``commit``/``commit_batch`` in ``"propagate"`` mode (one fused fill of
+    every skipped layer) against the per-layer fill they used to run."""
+
+    MODELS = {cfg: TransformerLayeredLM(cfg, seed=3, max_tokens=64,
+                                        kv_fill="propagate")
+              for cfg in (CFG, GQA_CFG)}
+
+    def decode_to(self, model, states, exits):
+        hidden = model.begin_step_batch(states)
+        for layer in range(max(exits) + 1):
+            live = [i for i, e in enumerate(exits) if e >= layer]
+            hidden[live] = model.layer_forward_batch(
+                [states[i] for i in live], layer, hidden[live])
+        return hidden
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=st.sampled_from([CFG, GQA_CFG]),
+           exits=st.lists(st.integers(0, CFG.n_layers - 1), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_commit_batch_leaves_the_kv_of_the_per_layer_fill(self, cfg, exits, seed):
+        """Rows exit at random depths — all at layer 0, none at all, a lone
+        row — over two decode steps.  The stacked matmul may pick another
+        BLAS kernel than the per-layer GEMMs, so the bound is accumulation
+        order on O(1) values, not bit equality."""
+        model = self.MODELS[cfg]
+        rng = np.random.default_rng(seed)
+        prompts = [rng.integers(0, cfg.vocab_size, int(rng.integers(1, 6))).tolist()
+                   for _ in exits]
+        fused, reference = model.start_batch(prompts), model.start_batch(prompts)
+        for _ in range(2):
+            self.decode_to(model, fused, exits)
+            model.commit_batch(fused, [1] * len(exits), exits)
+            hidden = self.decode_to(model, reference, exits)
+            early = [i for i, e in enumerate(exits) if e + 1 < cfg.n_layers]
+            per_layer_kv_fill(
+                model.lm, hidden[early], [exits[i] + 1 for i in early],
+                [reference[i].cache for i in early],
+                np.asarray([len(reference[i].context) - 1 for i in early]))
+            for state in reference:
+                state.context.append(1)
+        for got, want, prompt in zip(fused, reference, prompts):
+            for layer in range(cfg.n_layers):
+                assert got.cache.length(layer) == len(prompt) + 2
+                for a, b in zip(got.cache.view(layer), want.cache.view(layer)):
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [CFG, GQA_CFG])
+    def test_scalar_commit_uses_the_same_fill(self, cfg):
+        model = self.MODELS[cfg]
+        state, reference = model.start([5, 9, 2]), model.start([5, 9, 2])
+        for s in (state, reference):
+            model.begin_step(s)
+            model.layer_forward(s, 0)
+        per_layer_kv_fill(model.lm, reference.hidden, [1], [reference.cache],
+                          np.asarray([2]))
+        model.commit(state, 7, 0)
+        for layer in range(cfg.n_layers):
+            assert state.cache.length(layer) == 4
+            for a, b in zip(state.cache.view(layer), reference.cache.view(layer)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_layers_share_one_qkv_storage_also_after_pickling(self):
+        """Each layer's ``wqkv`` is a slice of the stack the fill multiplies
+        (nothing stored twice, nothing to go stale); views do not survive
+        pickling, so loading rebuilds them."""
+        import pickle
+
+        for lm in (self.MODELS[CFG].lm, pickle.loads(pickle.dumps(self.MODELS[CFG].lm))):
+            for layer, block in enumerate(lm.layers):
+                assert np.shares_memory(block.attn.wqkv, lm._wqkv[layer])
+                assert block.attn.wqkv.flags["C_CONTIGUOUS"]
+            assert np.array_equal(lm.lm_head_rows, lm.lm_head_weight.T)
+
+    def test_refresh_is_the_one_invalidation_point(self):
+        """Replacing weights and refreshing — at either level — changes what
+        the fill writes and what the speculative head reads."""
+        lm = TinyTransformerLM(CFG, seed=4)
+        hidden = np.random.default_rng(0).standard_normal((1, CFG.dim))
+
+        def filled():
+            cache = lm.new_cache(4)
+            lm.kv_fill(hidden, [0], [cache], np.asarray([0]))
+            return [np.array(x) for layer in range(CFG.n_layers)
+                    for x in cache.view(layer)]
+
+        before = filled()
+        rng = np.random.default_rng(1)
+        for block in lm.layers:
+            block.attn.wk = rng.standard_normal(block.attn.wk.shape)
+            block.attn.wv = rng.standard_normal(block.attn.wv.shape)
+            block.attn.refresh_stacked_weights()
+        after = filled()
+        assert not any(np.allclose(a, b) for a, b in zip(before, after))
+        reference = lm.new_cache(4)
+        per_layer_kv_fill(lm, hidden, [0], [reference], np.asarray([0]))
+        for layer in range(CFG.n_layers):
+            for a, b in zip(after[2 * layer:], reference.view(layer)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        lm.lm_head_weight = rng.standard_normal(lm.lm_head_weight.shape)
+        lm.refresh_stacked_weights()
+        ids = np.array([3, 7, 11])
+        assert np.allclose(lm.lm_head_slice(hidden[0], ids), lm.lm_head(hidden[0])[ids])
 
 
 class TestRaggedPrefill:

@@ -409,6 +409,25 @@ class TestAsyncTransformer:
         if mode == "recompute":
             assert report.recomputes == report.preemptions
 
+    @pytest.mark.parametrize("mode", ["swap", "recompute"])
+    def test_propagate_fill_preempted_resume_token_identical(self, rig, mode):
+        """Hidden-state propagation: skipped layers hold K/V projected from
+        the exit hidden, so a recompute resume must replay the recorded exits
+        through the same fused fill the commits used."""
+        import dataclasses
+
+        from repro.model.transformer_backend import TransformerLayeredLM
+
+        factory = lambda: TransformerLayeredLM(
+            lm=rig.model.lm, max_tokens=256, kv_fill="propagate")
+        propagate = dataclasses.replace(rig, model=factory(), model_factory=factory)
+        requests = burst_requests()
+        report = tight_async(propagate, preemption=mode).run(requests)
+        assert report.preemptions > 0
+        assert any(r.early_exit for out in report.results.values()
+                   for r in out.records)
+        assert_matches_generate(propagate, report, requests, EXITY_CFG)
+
     def test_chunked_prefill_matches_reference_without_pressure(self, rig):
         """The engine's default shape (chunked prefill, roomy pool)."""
         report = rig.async_serving_engine(
@@ -460,15 +479,16 @@ class TestShardedTransformer:
 
 
 class TestBatchedPredictorPath:
-    """The vectorized speculative-head/feature/predictor tick must make the
-    same exit decisions and charge the same ledgers as the python loop."""
+    """``step_batch``'s merged exit check (one slice, one MLP pass and one
+    verify GEMM per layer per tick) must make the same exit decisions and
+    charge the same ledgers as the reference: the scalar ``step`` loop
+    (``batched=False``)."""
 
     def run_with_flag(self, rig, flag, scheduler_kind="two_level", config=None):
         serving = rig.async_serving_engine(
             scheduler_kind=scheduler_kind, batch_capacity=4, kv_blocks=256,
-            block_size=8, batched=True, config=config or EXITY_CFG,
+            block_size=8, batched=flag, config=config or EXITY_CFG,
             chunk_prefill_tokens=None)
-        serving.engine.batched_predictors = flag
         return serving.run(ragged_requests())
 
     def test_decisions_identical_to_per_sequence(self, rig):
@@ -485,6 +505,44 @@ class TestBatchedPredictorPath:
             assert batched.sequential_ledger.units(kind) == \
                    scalar.sequential_ledger.units(kind), kind
 
+    #: ``as_dict()`` of two requests' own ledgers, in insertion order
+    #: (pricing sums a ledger in dict order, so the order is pinned too):
+    #: the values the per-event ``CostLedger.add`` calls produced before
+    #: steps were charged with one write per kind.  An unverified first exit
+    #: records ``kv_fill`` before any ``lm_head_full``; verified, after.
+    PINNED = {
+        False: {
+            0: [("prefill_layer", 4, 24), ("draft_step", 10, 10),
+                ("decoder_layer", 31, 31), ("lm_head_slice", 18, 72),
+                ("predictor_forward", 18, 18), ("kv_fill", 8, 9),
+                ("lm_head_full", 2, 2)],
+            2: [("prefill_layer", 4, 36), ("draft_step", 12, 12),
+                ("decoder_layer", 36, 36), ("lm_head_slice", 19, 76),
+                ("predictor_forward", 19, 19), ("kv_fill", 8, 12),
+                ("lm_head_full", 4, 4)]},
+        True: {
+            0: [("prefill_layer", 4, 24), ("draft_step", 10, 10),
+                ("decoder_layer", 40, 40), ("lm_head_slice", 10, 40),
+                ("predictor_forward", 10, 10), ("lm_head_full", 18, 18)],
+            2: [("prefill_layer", 4, 36), ("draft_step", 12, 12),
+                ("decoder_layer", 47, 47), ("lm_head_slice", 12, 48),
+                ("predictor_forward", 12, 12), ("lm_head_full", 23, 23),
+                ("kv_fill", 1, 1)]},
+    }
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_per_sequence_ledgers_pinned(self, rig, verify, batched):
+        cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1,
+                           scheduler="all", verify_on_exit=verify)
+        report = self.run_with_flag(rig, batched, config=cfg)
+        for request_id, pinned in self.PINNED[verify].items():
+            ledger = report.results[request_id].ledger.as_dict()
+            assert [(kind, entry["calls"], entry["units"])
+                    for kind, entry in ledger.items()] == pinned
+            assert all(type(value) is float for entry in ledger.values()
+                       for value in entry.values())
+
     def test_identical_under_verified_exits(self, rig):
         cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1,
                            scheduler="all", verify_on_exit=True)
@@ -500,9 +558,6 @@ class TestBatchedPredictorPath:
         scalar = self.run_with_flag(rig, False, "online", cfg)
         assert {i: r.tokens for i, r in batched.results.items()} == \
                {i: r.tokens for i, r in scalar.results.items()}
-
-    def test_default_is_batched(self, rig):
-        assert rig.specee_engine(config=EXITY_CFG).batched_predictors is True
 
 
 class TestTransformerServeCli:

@@ -143,6 +143,35 @@ class TestExport:
         assert np.abs(model.token_emb.weight.data).sum() > 0
 
 
+    def test_export_refreshes_every_derived_layout(self):
+        """The exporter builds a random stack and copies trained weights in;
+        the fused KV fill and the speculative head must read the trained
+        ones — and a re-export after more training, the newer ones."""
+        model = TrainableTransformerLM(TINY_CFG, seed=4, rope=True)
+        hidden = np.random.default_rng(0).standard_normal((1, TINY_CFG.dim))
+
+        def filled(lm):
+            cache = lm.new_cache(2)
+            lm.kv_fill(hidden, [0], [cache], np.asarray([0]))
+            return np.stack([np.stack(cache.view(layer))
+                             for layer in range(TINY_CFG.n_layers)])
+
+        lm = export_inference_lm(model)
+        for layer, block in enumerate(lm.layers):
+            assert np.array_equal(block.attn.wqkv[:, -2 * TINY_CFG.dim:],
+                                  np.concatenate([model.layers[layer].wk.weight.data,
+                                                  model.layers[layer].wv.weight.data], axis=1))
+            assert np.shares_memory(block.attn.wqkv, lm._wqkv)
+        assert np.array_equal(lm.lm_head_rows, model.lm_head.weight.data.T)
+        first = filled(lm)
+        for layer in model.layers:
+            layer.wk.weight.data = layer.wk.weight.data * 2.0
+        again = filled(export_inference_lm(model))
+        # Values are untouched; keys doubled (rotation is linear).
+        assert np.allclose(again[:, 1], first[:, 1])
+        assert np.allclose(again[:, 0], 2.0 * first[:, 0])
+
+
 class TestDistilledNGramDraft:
     def test_ctor_validation(self):
         with pytest.raises(ValueError):
@@ -164,6 +193,21 @@ class TestDistilledNGramDraft:
         proposal = draft.propose([1, 6])
         assert proposal[0] in (7, 8, 11)
         assert len(proposal) == 3 and len(set(proposal)) == 3
+
+    def test_propose_reflects_counts_recorded_after_it_ranked(self):
+        """Rankings are cached per context window; ``_record`` drops them."""
+        draft = DistilledNGramDraft(32, k=2, orders=(2, 1))
+        draft._record([5, 6], 7)
+        draft._record([5, 6], 8)
+        assert draft.propose([5, 6]) == [7, 8]  # tie breaks on token id
+        assert draft.propose([5, 6]) == [7, 8]  # served from the cache
+        draft._record([5, 6], 8)
+        assert draft.propose([5, 6]) == [8, 7]
+        draft._record([5, 6], 9)
+        draft._record([5, 6], 9)
+        draft._record([5, 6], 9)
+        assert draft.propose([5, 6]) == [9, 8]
+        assert draft.propose([4, 4]) == [9, 8]  # global backoff re-ranked too
 
     def test_propose_pads_with_token_ids_when_empty(self):
         draft = DistilledNGramDraft(32, k=4)
