@@ -18,7 +18,7 @@ import time
 from typing import IO, List, Optional
 
 from repro.config import MODELS, get_model_spec
-from repro.distributed.cluster import LINKS, make_cluster, make_replica_clusters
+from repro.distributed.cluster import LINKS, make_replica_clusters
 from repro.experiments import REGISTRY
 from repro.hardware.devices import DEVICES
 from repro.serving.control import CONTROL_POLICIES
@@ -79,31 +79,30 @@ def build_parser() -> argparse.ArgumentParser:
             "policy flags and their precedence:\n"
             "  --sched    orders service *within* one replica (admission/resume\n"
             "             order, preemption victims); in effect on every\n"
-            "             path (closed batch, --trace, any fleet run).\n"
-            "  --route    picks *which* replica each request lands on; only in\n"
-            "             effect on fleet runs (--replicas > 1 or --clients\n"
-            "             closed:M), after router-level rejection and before\n"
-            "             --sched sees the request.\n"
+            "             workload (closed batch, --trace, closed:M clients)\n"
+            "             at any --replicas.\n"
+            "  --route    picks *which* replica each request lands on, after\n"
+            "             router-level rejection and before --sched sees the\n"
+            "             request; it has a choice to make only when\n"
+            "             --replicas > 1 (one engine is the fleet of width 1).\n"
             "  --control  adapts *how* each admitted request decodes (exit\n"
             "             threshold / draft length per tick from observed\n"
-            "             load); applied last, inside the replica, on the same\n"
-            "             paths as --sched.  'static' is token-identical\n"
+            "             load); applied last, inside the replica, wherever\n"
+            "             --sched applies.  'static' is token-identical\n"
             "             to the pre-controller engine; 'pressure' and\n"
             "             'bandit' trade exit depth against load.\n"
             "  --faults   injects replica failures (crash/restart/drain,\n"
-            "             slowdowns, predictor anomalies, KV corruption); a\n"
-            "             non-'none' plan forces the fleet path even at\n"
-            "             --replicas 1, is resolved before any routing\n"
-            "             happens, and --route only ever sees replicas the\n"
-            "             plan left healthy.  --fault-seed resolves\n"
+            "             slowdowns, predictor anomalies, KV corruption) at\n"
+            "             any --replicas; the plan is resolved before any\n"
+            "             routing happens, and --route only ever sees replicas\n"
+            "             the plan left healthy.  --fault-seed resolves\n"
             "             replica=any picks; --no-failover is the ablation\n"
             "             that loses crashed work.\n"
             "  --prefix-share  pages prompts through the copy-on-write radix\n"
             "             tree inside each replica's paged KV, orthogonal to\n"
             "             all four: admission adopts shared prefixes before\n"
-            "             --sched orders service, on every serving path\n"
-            "             (closed batch, --trace, fleets).  Tokens are\n"
-            "             identical with it on or off.\n"
+            "             --sched orders service, on every workload and fleet\n"
+            "             width.  Tokens are identical with it on or off.\n"
             "  --control-seed seeds the bandit only.\n"
         ))
     serve.add_argument("--backend", default="synthetic",
@@ -164,10 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--control-seed", type=int, default=0,
                        help="seed for the bandit control policy's Thompson "
                             "sampling stream")
-    # Data-parallel fleet routing (replicas > 1 or closed-loop clients).
+    # Data-parallel fleet width, routing and closed-loop clients.
     serve.add_argument("--replicas", type=int, default=1,
-                       help="data-parallel replica count (> 1 routes through "
-                            "the fleet router)")
+                       help="data-parallel replica count behind the router "
+                            "(1 = a lone engine, the fleet of width 1)")
     serve.add_argument("--route", default="round_robin",
                        choices=sorted(ROUTING_POLICIES),
                        help="fleet routing policy")
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--think-time", type=float, default=0.05,
                        help="mean closed-loop client think time, modelled "
                             "seconds")
-    # Fault injection and recovery (fleet runs).
+    # Fault injection and recovery.
     serve.add_argument("--faults", default="none",
                        help="fault plan: a preset (none, single-crash, "
                             "crash-restart, degraded-spec, chaos) or a spec "
@@ -315,16 +314,6 @@ def _cmd_train_exits(args, out: IO[str]) -> int:
     return 0
 
 
-def _cluster_from_args(args):
-    """The ``ClusterSpec`` the serve flags describe, or None for one device."""
-    if args.tp < 1 or args.pp < 1:
-        raise ValueError(f"--tp/--pp must be >= 1, got tp={args.tp} pp={args.pp}")
-    if args.tp * args.pp == 1:
-        return None
-    return make_cluster(args.device, tp=args.tp, pp=args.pp,
-                        tp_link=args.tp_link, pp_link=args.pp_link)
-
-
 def _parse_clients(spec: str) -> Optional[int]:
     """Client count from a ``--clients`` spec: None for 'open', M for
     'closed:M'."""
@@ -340,104 +329,100 @@ def _parse_clients(spec: str) -> Optional[int]:
     raise ValueError(f"--clients must be 'open' or 'closed:M', got {spec!r}")
 
 
-def _trace_kwargs(args, rig, per_token_s: float) -> dict:
-    """Workload knobs shared by the open-loop traces and closed-loop
-    clients; deadlines scale from the latency model pricing the run."""
-    return dict(
+def _serve_workload(args, rig, per_token_s: float):
+    """``(description, workload)`` for the serve flags: a closed batch
+    (every request at t=0), a poisson / bursty / chat arrival trace, or
+    ``closed:M`` closed-loop clients; deadlines scale from ``per_token_s``,
+    the latency model pricing the run."""
+    from repro.data.corpus import generate_prompts
+    from repro.serving import (
+        ClosedLoopClients, Request, bursty_trace, chat_trace, poisson_trace,
+    )
+
+    n_clients = _parse_clients(args.clients)
+    if n_clients is not None and args.trace != "off":
+        raise ValueError(
+            "--clients closed:M and --trace are both workloads; pass one "
+            "(closed-loop clients issue their own arrivals)")
+    kwargs = dict(
         vocab_size=rig.model.vocab_size, slo_scale=args.slo_scale,
         per_token_s=per_token_s, seed=args.seed + 7,
         max_new_tokens_range=(max(args.max_new_tokens // 2, 1),
                               args.max_new_tokens),
     )
+    if n_clients is not None:
+        # Ceiling: never issue fewer total requests than --requests asks.
+        rounds = max(1, -(-args.requests // n_clients))
+        return f"closed:{n_clients} clients", ClosedLoopClients(
+            n_clients, rounds, think_time_s=args.think_time, **kwargs)
+    if args.trace == "off":
+        prompts = generate_prompts(args.requests, rig.model.vocab_size,
+                                   seed=args.seed + 7)
+        return "closed batch", [Request(i, prompt, args.max_new_tokens)
+                                for i, prompt in enumerate(prompts)]
+    if args.trace == "poisson":
+        trace = poisson_trace(args.requests, args.rate, **kwargs)
+    elif args.trace == "chat":
+        trace = chat_trace(args.sessions, tenants=args.tenants,
+                           turns=args.turns, rate_per_s=args.rate, **kwargs)
+    else:
+        trace = bursty_trace(args.requests, args.burst_size, args.burst_gap,
+                             **kwargs)
+    return f"{args.trace} trace", trace
 
 
-def _cmd_serve_fleet(args, rig, out: IO[str]) -> int:
-    """Data-parallel fleet serving: replica router, goodput accounting."""
-    from repro.serving import (
-        ClosedLoopClients, bursty_trace, chat_trace, poisson_trace,
-    )
+def _serve_rows(args, fleet, report) -> List[list]:
+    """The serve table: fleet-level rows from the report's request fold,
+    engine-level rows per replica (``/``-joined; one value at width 1)."""
+    replicas = report.replica_reports
 
-    start = time.perf_counter()
-    try:
-        n_clients = _parse_clients(args.clients)
-        if n_clients is None and args.trace == "off":
-            raise ValueError(
-                "fleet serving needs a workload: pass --trace "
-                "poisson|bursty|chat or --clients closed:M")
-        if n_clients is not None and args.trace != "off":
-            raise ValueError(
-                "--clients closed:M and --trace are both workloads; pass one "
-                "(closed-loop clients issue their own arrivals)")
-        if args.tp < 1 or args.pp < 1:
-            raise ValueError(
-                f"--tp/--pp must be >= 1, got tp={args.tp} pp={args.pp}")
-        cluster_factory = None
-        if args.tp * args.pp > 1:
-            # One independent modelled cluster per data-parallel replica.
-            replica_clusters = iter(make_replica_clusters(
-                args.replicas, args.device, tp=args.tp, pp=args.pp,
-                tp_link=args.tp_link, pp_link=args.pp_link))
-            cluster_factory = lambda: next(replica_clusters)
-        fleet = rig.router_fleet(
-            args.replicas, route=args.route, scheduling=args.sched,
-            cluster_factory=cluster_factory,
-            faults=args.faults, fault_seed=args.fault_seed,
-            failover=not args.no_failover,
-            scheduler_kind=args.scheduler, device=args.device,
-            framework=args.framework, batch_capacity=args.batch_capacity,
-            kv_blocks=args.kv_blocks, block_size=args.block_size,
-            admission=args.admission, preemption=args.preemption,
-            chunk_prefill_tokens=args.chunk_prefill or None,
-            control=args.control, control_seed=args.control_seed,
-            prefix_share=args.prefix_share,
-        )
-        kwargs = _trace_kwargs(
-            args, rig, fleet.replicas[0].latency.full_depth_token_time())
-        if n_clients is not None:
-            # Ceiling: never issue fewer total requests than --requests asks.
-            rounds = max(1, -(-args.requests // n_clients))
-            workload = ClosedLoopClients(
-                n_clients, rounds, think_time_s=args.think_time, **kwargs)
-        elif args.trace == "poisson":
-            workload = poisson_trace(args.requests, args.rate, **kwargs)
-        elif args.trace == "chat":
-            workload = chat_trace(args.sessions, tenants=args.tenants,
-                                  turns=args.turns, rate_per_s=args.rate,
-                                  **kwargs)
-        else:
-            workload = bursty_trace(args.requests, args.burst_size,
-                                    args.burst_gap, **kwargs)
-        report = fleet.run(workload)
-    except (MemoryError, ValueError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    layers = "/".join(f"{l:.1f}" for l in report.replica_layers_per_token)
+    def each(attr: str, fmt: str = "{}") -> str:
+        return "/".join(fmt.format(getattr(r, attr)) for r in replicas)
+
     rows = [
         ["requests served", len(report.results)],
-        ["requests rejected", len(report.rejected)],
+        ["requests rejected",
+         len(report.rejected) + sum(len(r.rejected) for r in replicas)],
         ["tokens generated", report.total_tokens],
-        ["fleet makespan (modelled s)", f"{report.makespan_s:.3f}"],
+        ["scheduler ticks", each("n_steps")],
+        ["makespan (modelled s)", f"{report.makespan_s:.3f}"],
         ["throughput tokens/s", f"{report.throughput_tps:.1f}"],
         ["goodput tokens/s (met SLO)", f"{report.goodput_tps:.1f}"],
+        ["sequential tokens/s", each("sequential_tps", "{:.1f}")],
+        ["throughput speedup", each("speedup", "{:.2f}x")],
         ["SLO attainment", f"{report.slo_attainment:.0%}"],
         ["mean latency (s)", f"{report.mean_latency_s:.3f}"],
         ["p95 latency (s)", f"{report.p95_latency_s():.3f}"],
+        ["avg batch occupancy", each("avg_batch_occupancy", "{:.2f}")],
+        ["peak KV blocks", f"{each('peak_kv_blocks')} / {args.kv_blocks}"],
         ["preemptions", report.preemptions],
+        ["swap preemptions", each("swaps")],
+        ["recompute preemptions", each("recomputes")],
+        ["peak host-pool tokens", each("peak_host_tokens")],
         ["requests per replica",
          "/".join(str(c) for c in report.replica_request_counts)],
-        ["observed layers/token per replica", layers],
+        ["observed layers/token per replica",
+         "/".join(f"{l:.1f}" for l in report.replica_layers_per_token)],
         ["control policy", report.control],
         ["mean threshold offset per replica",
          "/".join(f"{o:+.2f}" for o in report.replica_threshold_offsets)],
     ]
     if args.prefix_share:
-        rows.extend([
-            ["prefix hit rate (fleet)", f"{report.prefix_hit_rate:.0%}"],
+        rows += [
+            ["prefix hit rate", f"{report.prefix_hit_rate:.0%}"],
             ["prompt tokens adopted",
              f"{report.prefix_matched_tokens} / {report.prefix_prompt_tokens}"],
+            ["copy-on-write clones", each("cow_copies")],
             ["mean TTFT (s)", f"{report.mean_ttft_s:.3f}"],
-        ])
+            ["p95 TTFT (s)", f"{report.p95_ttft_s():.3f}"],
+        ]
+    if args.backend == "transformer":
+        # Real backend: measured wall-clock numbers next to the modelled ones.
+        rows += [
+            ["batched decode", "on" if fleet.replicas[0].batched else "off"],
+            ["wall time (s)", each("wall_time_s", "{:.3f}")],
+            ["measured tokens/s (wall-clock)", each("measured_tps", "{:.1f}")],
+        ]
     if report.faults != "none":
         frac = report.recovered_fraction
         rows += [
@@ -459,131 +444,68 @@ def _cmd_serve_fleet(args, rig, out: IO[str]) -> int:
             ["watchdog timeouts", report.watchdog_timeouts],
             ["replica health", "/".join(report.replica_health)],
         ]
-    workload_desc = (f"closed:{n_clients} clients" if n_clients is not None
-                     else f"{args.trace} trace")
-    served = (f"tiny-transformer (priced as {args.model})"
-              if args.backend == "transformer" else args.model)
-    title = (f"fleet serving: {args.replicas}x {served} @ "
-             f"{args.device}/{args.framework}, tp={args.tp} pp={args.pp}, "
-             f"{workload_desc}, route={args.route}, sched={args.sched}, "
-             f"control={args.control}")
-    print(render_table(["metric", "value"], rows, title=title), file=out)
-    print(f"[serve completed in {elapsed:.1f}s]", file=out)
-    return 0
-
-
-def _cmd_serve_trace(args, rig, out: IO[str]) -> int:
-    """Single-engine serving: a closed batch (``--trace off``, every request
-    at t=0) or an arrival trace, with SLOs, preemption and chunking."""
-    from repro.data.corpus import generate_prompts
-    from repro.serving import Request, bursty_trace, chat_trace, poisson_trace
-
-    start = time.perf_counter()
-    try:
-        serving = rig.async_serving_engine(
-            scheduler_kind=args.scheduler, device=args.device,
-            framework=args.framework, batch_capacity=args.batch_capacity,
-            kv_blocks=args.kv_blocks, block_size=args.block_size,
-            admission=args.admission, preemption=args.preemption,
-            chunk_prefill_tokens=args.chunk_prefill or None,
-            scheduling=args.sched,
-            cluster=_cluster_from_args(args),
-            control=args.control, control_seed=args.control_seed,
-            prefix_share=args.prefix_share,
-        )
-        # Deadlines scale from the same latency model that prices the run.
-        trace_kwargs = _trace_kwargs(
-            args, rig, serving.latency.full_depth_token_time())
-        if args.trace == "off":
-            prompts = generate_prompts(args.requests, rig.model.vocab_size,
-                                       seed=args.seed + 7)
-            trace = [Request(i, prompt, args.max_new_tokens)
-                     for i, prompt in enumerate(prompts)]
-        elif args.trace == "poisson":
-            trace = poisson_trace(args.requests, args.rate, **trace_kwargs)
-        elif args.trace == "chat":
-            trace = chat_trace(args.sessions, tenants=args.tenants,
-                               turns=args.turns, rate_per_s=args.rate,
-                               **trace_kwargs)
-        else:
-            trace = bursty_trace(args.requests, args.burst_size, args.burst_gap,
-                                 **trace_kwargs)
-        report = serving.run(trace)
-    except (MemoryError, ValueError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
-    rows = [
-        ["requests served", len(report.results)],
-        ["requests rejected", len(report.rejected)],
-        ["tokens generated", report.total_tokens],
-        ["scheduler ticks", report.n_steps],
-        ["makespan (modelled s)", f"{report.makespan_s:.3f}"],
-        ["throughput tokens/s", f"{report.throughput_tps:.1f}"],
-        ["sequential tokens/s", f"{report.sequential_tps:.1f}"],
-        ["throughput speedup", f"{report.speedup:.2f}x"],
-        ["SLO attainment", f"{report.slo_attainment:.0%}"],
-        ["mean latency (s)", f"{report.mean_latency_s:.3f}"],
-        ["p95 latency (s)", f"{report.p95_latency_s():.3f}"],
-        ["avg batch occupancy", f"{report.avg_batch_occupancy:.2f}"],
-        ["peak KV blocks", f"{report.peak_kv_blocks} / {serving.cache.allocator.n_blocks}"],
-        ["preemptions (swap/recompute)",
-         f"{report.preemptions} ({report.swaps}/{report.recomputes})"],
-        ["peak host-pool tokens", report.peak_host_tokens],
-        ["control policy", report.control],
-        ["mean threshold offset", f"{report.mean_threshold_offset:+.2f}"],
-    ]
-    if args.prefix_share:
-        rows.extend([
-            ["prefix hit rate", f"{report.prefix_hit_rate:.0%}"],
-            ["prompt tokens adopted",
-             f"{report.prefix_matched_tokens} / {report.prefix_prompt_tokens}"],
-            ["copy-on-write clones", report.cow_copies],
-            ["mean TTFT (s)", f"{report.mean_ttft_s:.3f}"],
-            ["p95 TTFT (s)", f"{report.p95_ttft_s():.3f}"],
-        ])
-    if args.backend == "transformer":
-        # Real backend: measured wall-clock numbers next to the modelled ones.
-        rows.extend([
-            ["batched decode", "on" if serving.batched else "off"],
-            ["wall time (s)", f"{report.wall_time_s:.3f}"],
-            ["measured tokens/s (wall-clock)", f"{report.measured_tps:.1f}"],
-        ])
-    served = (f"tiny-transformer (priced as {args.model})"
-              if args.backend == "transformer" else args.model)
-    workload = "closed batch" if args.trace == "off" else f"{args.trace} trace"
-    title = (f"async serving: {served} @ {args.device}/{args.framework}, "
-             f"tp={args.tp} pp={args.pp}, {workload}, "
-             f"{args.admission} admission, "
-             f"{args.preemption} preemption, chunk={args.chunk_prefill}, "
-             f"sched={args.sched}, control={args.control}")
-    print(render_table(["metric", "value"], rows, title=title), file=out)
-    print(f"[serve completed in {elapsed:.1f}s]", file=out)
-    return 0
+    return rows
 
 
 def _cmd_serve(args, out: IO[str]) -> int:
+    """Serve one workload on ``--replicas`` engines behind the router — a
+    lone engine is the fleet of width 1 (bit-identical to driving it
+    directly), so every flag combination takes this one path."""
     from repro.eval.harness import build_rig, build_transformer_rig
 
-    # Fault injection is a fleet concern (health, failover, routing), so a
-    # non-empty --faults plan routes through the fleet path even at width 1.
-    fleet_mode = (args.replicas > 1 or args.clients != "open"
-                  or args.faults != "none")
     if args.replicas < 1:
         print(f"serve: --replicas must be >= 1, got {args.replicas}",
               file=sys.stderr)
         return 2
     if args.backend == "transformer":
-        # Real numpy decode under every serving mode: closed batch, async
-        # traces, fleets and tp/pp sharding all drive the same rig; ledgers
-        # are priced as --model on --device either way.
+        # Real numpy decode at any fleet width and tp/pp shape; ledgers are
+        # priced as --model on --device either way.
         rig = build_transformer_rig(seed=args.seed, priced_as=args.model)
     else:
         rig = build_rig(args.model, seed=args.seed, train_prompts=6, train_tokens=30,
                         predictor_hidden=128, epochs=10)
-    if fleet_mode:
-        return _cmd_serve_fleet(args, rig, out)
-    return _cmd_serve_trace(args, rig, out)
+    start = time.perf_counter()
+    try:
+        if args.tp < 1 or args.pp < 1:
+            raise ValueError(
+                f"--tp/--pp must be >= 1, got tp={args.tp} pp={args.pp}")
+        # One independent modelled cluster per replica (None on one device).
+        clusters = iter(make_replica_clusters(
+            args.replicas, args.device, tp=args.tp, pp=args.pp,
+            tp_link=args.tp_link, pp_link=args.pp_link))
+        fleet = rig.router_fleet(
+            args.replicas, route=args.route, scheduling=args.sched,
+            cluster_factory=clusters.__next__,
+            faults=args.faults, fault_seed=args.fault_seed,
+            failover=not args.no_failover,
+            scheduler_kind=args.scheduler, device=args.device,
+            framework=args.framework, batch_capacity=args.batch_capacity,
+            kv_blocks=args.kv_blocks, block_size=args.block_size,
+            admission=args.admission, preemption=args.preemption,
+            chunk_prefill_tokens=args.chunk_prefill or None,
+            control=args.control, control_seed=args.control_seed,
+            prefix_share=args.prefix_share,
+        )
+        described, workload = _serve_workload(
+            args, rig, fleet.replicas[0].latency.full_depth_token_time())
+        report = fleet.run(workload)
+    except (MemoryError, ValueError) as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
+    elapsed = time.perf_counter() - start
+    served = (f"tiny-transformer (priced as {args.model})"
+              if args.backend == "transformer" else args.model)
+    width = ("async serving: " if args.replicas == 1
+             else f"fleet serving: {args.replicas}x ")
+    title = (f"{width}{served} @ {args.device}/{args.framework}, "
+             f"tp={args.tp} pp={args.pp}, {described}, "
+             f"{args.admission} admission, {args.preemption} preemption, "
+             f"chunk={args.chunk_prefill}, route={args.route}, "
+             f"sched={args.sched}, control={args.control}")
+    print(render_table(["metric", "value"], _serve_rows(args, fleet, report),
+                       title=title), file=out)
+    print(f"[serve completed in {elapsed:.1f}s]", file=out)
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

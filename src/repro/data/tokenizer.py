@@ -36,10 +36,6 @@ class SyntheticTokenizer:
     def bos_id(self) -> int:
         return 0
 
-    @property
-    def eos_id(self) -> int:
-        return 1
-
     def id_to_word(self, token_id: int) -> str:
         return self._id_to_word[int(token_id) % self.vocab_size]
 

@@ -1,4 +1,4 @@
-"""Multi-device sharded serving: cluster topology, pricing, KV ownership.
+"""Multi-device sharded serving: cluster topology and pricing.
 
 ``repro.distributed`` grows the single-``DeviceSpec`` roofline/ledger model
 into a cluster model.  :class:`ClusterSpec` describes ``tp x pp`` devices
@@ -6,9 +6,12 @@ and their interconnect links; :class:`ClusterLatencyModel` prices sharded
 ledgers (tensor-parallel layer shards plus ``ALLREDUCE`` collectives,
 pipeline-stage concurrency plus ``PIPELINE_BUBBLE`` idleness);
 :mod:`~repro.distributed.sharding` rewrites serving-tick events into their
-sharded form; :class:`ShardedPagedKV` owns paged-KV blocks per pipeline
-stage.  Sharded decoding is token-identical to single-device decoding —
-sharding repartitions cost, never tokens.
+sharded form.  The paged KV pool needs no sharded form: pipeline stages see
+identical append/free traffic, so one
+:class:`~repro.serving.paged_kv.PagedKVCache` of ``kv_blocks`` blocks *is*
+every stage device's pool and ``pp`` enters only through pricing.  Sharded
+decoding is token-identical to single-device decoding — sharding
+repartitions cost, never tokens.
 """
 
 from repro.distributed.cluster import (
@@ -20,7 +23,6 @@ from repro.distributed.cluster import (
     make_replica_clusters,
 )
 from repro.distributed.latency import PIPELINED_EVENTS, ClusterLatencyModel
-from repro.distributed.paged import ShardedPagedKV
 from repro.distributed.sharding import (
     record_decode_batches,
     record_prefill_allreduce,
@@ -33,7 +35,6 @@ __all__ = [
     "ClusterLatencyModel",
     "ClusterSpec",
     "LinkSpec",
-    "ShardedPagedKV",
     "get_link",
     "make_cluster",
     "make_replica_clusters",

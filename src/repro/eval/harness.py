@@ -62,6 +62,41 @@ def make_model(
     return SyntheticLayeredLM(profile, sim, seed=seed)
 
 
+def _exit_assets(
+    model: LayeredLM, profiling_model: LayeredLM, speculator, *, k: int,
+    predictor_hidden: int, predictor_depth: int, train_prompts: int,
+    train_tokens: int, epochs: int, profile_prompts: int, profile_tokens: int,
+    seed: int,
+) -> Tuple[PredictorBank, np.ndarray]:
+    """Exit assets for one (model, speculator) pair, spelled once.
+
+    Harvest a feature corpus from ``model`` decoding ``train_prompts``
+    prompts, train a fresh :class:`PredictorBank` on it, then run the
+    offline profiling pass — SpecEE with all predictors active on
+    ``profiling_model`` — and fold its verified exits into per-layer
+    frequencies.  The RNG draw order (harvest, bank init, training,
+    profiling decode) is what every rig's tokens depend on.
+    """
+    prompts = generate_prompts(train_prompts, model.vocab_size, seed=seed + 11)
+    corpus = harvest_training_corpus(model, speculator, prompts,
+                                     tokens_per_prompt=train_tokens)
+    bank = PredictorBank(model.n_layers, feature_dim=3 * k,
+                         hidden_dim=predictor_hidden, depth=predictor_depth,
+                         seed=seed)
+    train_predictor_bank(bank, corpus, epochs=epochs, seed=seed)
+    profiling = SpecEEEngine(
+        profiling_model, speculator, bank, SpecEEConfig(num_speculative=k),
+        scheduler=make_scheduler("all", model.n_layers),
+    )
+    exits: List[int] = []
+    for prompt in generate_prompts(profile_prompts, model.vocab_size,
+                                   seed=seed + 23):
+        run = profiling.generate(prompt, profile_tokens)
+        exits.extend(l for l, r in zip(run.exit_layers, run.records)
+                     if r.early_exit)
+    return bank, profile_exit_frequencies(exits, model.n_layers)
+
+
 def trained_assets(
     model_name: str,
     flavor: str = "dense",
@@ -80,23 +115,13 @@ def trained_assets(
         return _ASSET_CACHE[key]
     model = make_model(model_name, None, flavor, sim, seed)
     speculator = Speculator(model.oracle, k=4, hit_rate=model.profile.draft_hit_rate)
-    prompts = generate_prompts(train_prompts, model.vocab_size, seed=seed + 11)
-    corpus = harvest_training_corpus(model, speculator, prompts, tokens_per_prompt=train_tokens)
-    bank = PredictorBank(model.n_layers, feature_dim=12, hidden_dim=predictor_hidden,
-                         depth=predictor_depth, seed=seed)
-    train_predictor_bank(bank, corpus, epochs=epochs, seed=seed)
-    # Offline profiling pass: SpecEE with all predictors active.
-    profiling = SpecEEEngine(
-        make_model(model_name, None, flavor, sim, seed), speculator, bank,
-        SpecEEConfig(), scheduler=make_scheduler("all", model.n_layers),
-    )
-    exits: List[int] = []
-    for prompt in generate_prompts(4, model.vocab_size, seed=seed + 23):
-        run = profiling.generate(prompt, 60)
-        exits.extend(l for l, r in zip(run.exit_layers, run.records) if r.early_exit)
-    freqs = profile_exit_frequencies(exits, model.n_layers)
-    _ASSET_CACHE[key] = (bank, freqs)
-    return bank, freqs
+    # The profiling pass decodes on a fresh model instance.
+    _ASSET_CACHE[key] = _exit_assets(
+        model, make_model(model_name, None, flavor, sim, seed), speculator,
+        k=4, predictor_hidden=predictor_hidden, predictor_depth=predictor_depth,
+        train_prompts=train_prompts, train_tokens=train_tokens, epochs=epochs,
+        profile_prompts=4, profile_tokens=60, seed=seed)
+    return _ASSET_CACHE[key]
 
 
 @dataclass
@@ -270,8 +295,9 @@ def build_transformer_rig(
     serving through genuine attention/FFN math, not calibrated accuracy.
     The predictor bank is trained on features harvested from the transformer
     itself, and the offline exit profile comes from a short profiling decode,
-    exactly mirroring :func:`trained_assets`.  Assets are cached per
-    (config, seed, sizes) so tests and the CLI pay the training cost once.
+    through the same :func:`_exit_assets` as :func:`trained_assets`.  Assets
+    are cached per (config, seed, sizes) so tests and the CLI pay the
+    training cost once.
     """
     from repro.model.oracle import NGramOracle
     from repro.model.transformer_backend import TransformerLayeredLM
@@ -283,27 +309,13 @@ def build_transformer_rig(
     speculator = Speculator(oracle, k=k, hit_rate=draft_hit_rate)
     key = (cfg, seed, max_tokens, k, draft_hit_rate, predictor_hidden,
            predictor_depth, train_prompts, train_tokens, epochs)
-    if key in _TRANSFORMER_ASSET_CACHE:
-        bank, freqs = _TRANSFORMER_ASSET_CACHE[key]
-    else:
-        prompts = generate_prompts(train_prompts, cfg.vocab_size, seed=seed + 11)
-        corpus = harvest_training_corpus(model, speculator, prompts,
-                                         tokens_per_prompt=train_tokens)
-        bank = PredictorBank(model.n_layers, feature_dim=3 * k,
-                             hidden_dim=predictor_hidden, depth=predictor_depth,
-                             seed=seed)
-        train_predictor_bank(bank, corpus, epochs=epochs, seed=seed)
-        profiling = SpecEEEngine(
-            model, speculator, bank, SpecEEConfig(num_speculative=k),
-            scheduler=make_scheduler("all", model.n_layers),
-        )
-        exits: List[int] = []
-        for prompt in generate_prompts(2, cfg.vocab_size, seed=seed + 23):
-            run = profiling.generate(prompt, 16)
-            exits.extend(l for l, r in zip(run.exit_layers, run.records)
-                         if r.early_exit)
-        freqs = profile_exit_frequencies(exits, model.n_layers)
-        _TRANSFORMER_ASSET_CACHE[key] = (bank, freqs)
+    if key not in _TRANSFORMER_ASSET_CACHE:
+        _TRANSFORMER_ASSET_CACHE[key] = _exit_assets(
+            model, model, speculator, k=k, predictor_hidden=predictor_hidden,
+            predictor_depth=predictor_depth, train_prompts=train_prompts,
+            train_tokens=train_tokens, epochs=epochs,
+            profile_prompts=2, profile_tokens=16, seed=seed)
+    bank, freqs = _TRANSFORMER_ASSET_CACHE[key]
     return Rig(model_name="tiny-transformer", flavor="dense", model=model,
                speculator=speculator, bank=bank, offline_freqs=freqs,
                seed=seed,
@@ -396,24 +408,11 @@ def build_trained_transformer_rig(
                                             rollout_len=rollout_len, k=k)
         model = TransformerLayeredLM(lm=lm, max_tokens=max_tokens,
                                      kv_fill="propagate")
-        train_pool = generate_prompts(train_prompts, cfg.vocab_size,
-                                      seed=seed + 11)
-        trace = harvest_training_corpus(model, draft, train_pool,
-                                        tokens_per_prompt=train_tokens)
-        bank = PredictorBank(model.n_layers, feature_dim=3 * k,
-                             hidden_dim=predictor_hidden, depth=predictor_depth,
-                             seed=seed)
-        train_predictor_bank(bank, trace, epochs=epochs, seed=seed)
-        profiling = SpecEEEngine(
-            model, draft, bank, SpecEEConfig(num_speculative=k),
-            scheduler=make_scheduler("all", model.n_layers),
-        )
-        exits: List[int] = []
-        for prompt in generate_prompts(2, cfg.vocab_size, seed=seed + 23):
-            run = profiling.generate(prompt, 16)
-            exits.extend(l for l, r in zip(run.exit_layers, run.records)
-                         if r.early_exit)
-        freqs = profile_exit_frequencies(exits, model.n_layers)
+        bank, freqs = _exit_assets(
+            model, model, draft, k=k, predictor_hidden=predictor_hidden,
+            predictor_depth=predictor_depth, train_prompts=train_prompts,
+            train_tokens=train_tokens, epochs=epochs,
+            profile_prompts=2, profile_tokens=16, seed=seed)
         metadata = {
             "training_final_loss": report.final_loss,
             "training_accuracy": report.accuracy,

@@ -50,10 +50,11 @@ Passing a :class:`~repro.distributed.ClusterSpec` runs the same trace on a
 modelled ``tp x pp`` cluster: ticks are priced by
 :class:`~repro.distributed.ClusterLatencyModel` (tensor-parallel layer
 shards plus ``ALLREDUCE`` collectives, pipeline-stage concurrency plus
-``PIPELINE_BUBBLE`` idleness), paged-KV blocks are owned per stage, and
-preemption costs are re-priced per owning device.  The modelled clock moves
-differently, so admission/preemption *timing* may differ from the
-single-device run — but per-request tokens never do.
+``PIPELINE_BUBBLE`` idleness) and preemption costs are re-priced per owning
+device; the paged pool stays one :class:`PagedKVCache` (every stage device's
+pool — stages see identical traffic, so their allocators never differ).
+The modelled clock moves differently, so admission/preemption *timing* may
+differ from the single-device run — but per-request tokens never do.
 
 Two orthogonal extension points sit on top of that machinery:
 
@@ -112,30 +113,20 @@ DENSE_THRESHOLD = 2.0
 
 def build_paged_cache(
     engine: SpecEEEngine, kv_blocks: int, block_size: int,
-    n_kv_heads: Optional[int] = None, n_stages: int = 1,
     prefix_share: bool = False,
-) -> Union[PagedKVCache, "ShardedPagedKV"]:
+) -> PagedKVCache:
     """Paged cache sized so one KV entry covers the engine's hidden state.
 
-    With ``n_stages > 1`` the cache is a per-pipeline-stage
-    :class:`~repro.distributed.ShardedPagedKV` of ``kv_blocks`` blocks *per
-    stage device*; otherwise a single-pool :class:`PagedKVCache`.
-    ``prefix_share`` enables the copy-on-write shared-prefix radix tree
-    (prompts become paged and reusable across requests).
+    ``kv_blocks`` is the per-device pool.  Under pipeline parallelism that is
+    every stage's pool at once: each stage holds its own layer range's share
+    of every token, so the stages see identical append/free/swap traffic and
+    identical allocators — one :class:`PagedKVCache` is exact, and ``pp``
+    enters only through cluster pricing.  ``prefix_share`` enables the
+    copy-on-write shared-prefix radix tree (prompts become paged and
+    reusable across requests).
     """
     hidden = engine.model.hidden_dim
-    if n_kv_heads is None:
-        n_kv_heads = 4 if hidden % 4 == 0 else 1
-    if hidden % n_kv_heads != 0:
-        raise ValueError(f"n_kv_heads={n_kv_heads} must divide hidden_dim={hidden}")
-    if n_stages > 1:
-        from repro.distributed.paged import ShardedPagedKV
-
-        return ShardedPagedKV(
-            n_stages=n_stages, n_blocks=kv_blocks, block_size=block_size,
-            n_kv_heads=n_kv_heads, head_dim=hidden // n_kv_heads,
-            prefix_share=prefix_share,
-        )
+    n_kv_heads = 4 if hidden % 4 == 0 else 1
     return PagedKVCache(
         n_blocks=kv_blocks, block_size=block_size,
         n_kv_heads=n_kv_heads, head_dim=hidden // n_kv_heads,
@@ -252,8 +243,104 @@ class AsyncRequestMetrics:
         return self.finish_s <= self.deadline_s
 
 
+def _reduce(statistic, values: List[float]) -> float:
+    """``statistic`` over per-request values; NaN when no request has one."""
+    return float(statistic(values)) if values else float("nan")
+
+
+def _p95(values: List[float]) -> float:
+    return np.percentile(values, 95)
+
+
+class RequestFold:
+    """Request-level statistics of a serving run, written once.
+
+    A report supplies ``metrics`` and ``results`` (per request id),
+    ``makespan_s``, ``rejected_with_slo`` and the ``prefix_prompt_tokens`` /
+    ``prefix_matched_tokens`` counters; everything below is folded from
+    those, so one engine's report and a fleet's report of any width agree
+    by construction.
+    """
+
+    def _slo_rejections(self) -> int:
+        """Deadline-carrying requests rejected anywhere in the run (they
+        count as missed); a fleet adds its replicas' to the router's."""
+        return self.rejected_with_slo
+
+    @property
+    def total_tokens(self) -> int:
+        """Tokens generated across every served request."""
+        return sum(len(r.tokens) for r in self.results.values())
+
+    @property
+    def throughput_tps(self) -> float:
+        """Modelled serving throughput: total tokens over the makespan."""
+        if self.makespan_s <= 0:
+            return float("nan")
+        return self.total_tokens / self.makespan_s
+
+    @property
+    def good_tokens(self) -> int:
+        """Tokens that met their SLO: tokens of every request that finished
+        by its deadline, plus tokens of deadline-free requests (which cannot
+        miss).  Tokens of requests that blew their deadline are wasted work
+        and count for nothing — the difference between throughput and
+        goodput."""
+        return sum(m.tokens for m in self.metrics.values()
+                   if m.met_slo is not False)
+
+    @property
+    def goodput_tps(self) -> float:
+        """Modelled goodput: SLO-meeting tokens over the makespan."""
+        if self.makespan_s <= 0:
+            return float("nan")
+        return self.good_tokens / self.makespan_s
+
+    @property
+    def slo_attainment(self) -> float:
+        """Fraction of deadline-carrying requests that finished in time.
+        Rejected requests with a deadline count as missed."""
+        deadlines = [m.met_slo for m in self.metrics.values()
+                     if m.deadline_s is not None]
+        total = self._slo_rejections() + len(deadlines)
+        if total == 0:
+            return float("nan")
+        return sum(deadlines) / total
+
+    def _latencies(self) -> List[float]:
+        return [m.latency_s for m in self.metrics.values()]
+
+    def _ttfts(self) -> List[float]:
+        return [m.ttft_s for m in self.metrics.values() if m.ttft_s is not None]
+
+    @property
+    def mean_latency_s(self) -> float:
+        """Mean end-to-end request latency on the modelled clock."""
+        return _reduce(np.mean, self._latencies())
+
+    def p95_latency_s(self) -> float:
+        """95th-percentile end-to-end request latency on the modelled clock."""
+        return _reduce(_p95, self._latencies())
+
+    @property
+    def mean_ttft_s(self) -> float:
+        """Mean time to first token across requests that produced one."""
+        return _reduce(np.mean, self._ttfts())
+
+    def p95_ttft_s(self) -> float:
+        """95th-percentile time to first token on the modelled clock."""
+        return _reduce(_p95, self._ttfts())
+
+    @property
+    def prefix_hit_rate(self) -> float:
+        """Shared-prefix token hit rate (NaN when no prompt was prefix-paged)."""
+        if self.prefix_prompt_tokens == 0:
+            return float("nan")
+        return self.prefix_matched_tokens / self.prefix_prompt_tokens
+
+
 @dataclass
-class AsyncServingReport:
+class AsyncServingReport(RequestFold):
     """Outcome of one :meth:`AsyncServingEngine.run`."""
 
     results: Dict[int, GenerationResult] = field(default_factory=dict)
@@ -302,20 +389,6 @@ class AsyncServingReport:
     prefix_matched_tokens: int = 0
     #: Copy-on-write block clones performed by divergent writes.
     cow_copies: int = 0
-    #: Shared-prefix token hit rate (NaN when no prompt was prefix-paged).
-    prefix_hit_rate: float = float("nan")
-
-    @property
-    def total_tokens(self) -> int:
-        """Tokens generated across every served request."""
-        return sum(len(r.tokens) for r in self.results.values())
-
-    @property
-    def throughput_tps(self) -> float:
-        """Modelled serving throughput: total tokens over the makespan."""
-        if self.makespan_s <= 0:
-            return float("nan")
-        return self.total_tokens / self.makespan_s
 
     @property
     def measured_tps(self) -> float:
@@ -342,75 +415,20 @@ class AsyncServingReport:
         return self.throughput_tps / seq
 
     @property
-    def slo_attainment(self) -> float:
-        """Fraction of deadline-carrying requests that finished in time.
-        Rejected requests with a deadline count as missed."""
-        met = 0
-        total = self.rejected_with_slo  # rejections never meet an SLO
-        for m in self.metrics.values():
-            if m.deadline_s is None:
-                continue
-            total += 1
-            met += bool(m.met_slo)
-        if total == 0:
-            return float("nan")
-        return met / total
-
-    @property
-    def good_tokens(self) -> int:
-        """Tokens that met their SLO: tokens of every request that finished
-        by its deadline, plus tokens of deadline-free requests (which cannot
-        miss).  Tokens of requests that blew their deadline are wasted work
-        and count for nothing — the difference between throughput and
-        goodput."""
-        return sum(m.tokens for m in self.metrics.values()
-                   if m.met_slo is not False)
-
-    @property
-    def goodput_tps(self) -> float:
-        """Modelled goodput: SLO-meeting tokens over the makespan."""
-        if self.makespan_s <= 0:
-            return float("nan")
-        return self.good_tokens / self.makespan_s
-
-    @property
     def avg_batch_occupancy(self) -> float:
         """Mean decoding sequences per tick."""
         if not self.batch_occupancy:
             return float("nan")
         return float(np.mean(self.batch_occupancy))
 
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean end-to-end request latency on the modelled clock."""
-        if not self.metrics:
-            return float("nan")
-        return float(np.mean([m.latency_s for m in self.metrics.values()]))
-
-    def p95_latency_s(self) -> float:
-        """95th-percentile end-to-end request latency on the modelled clock."""
-        if not self.metrics:
-            return float("nan")
-        return float(np.percentile([m.latency_s for m in self.metrics.values()], 95))
-
-    @property
-    def mean_ttft_s(self) -> float:
-        """Mean time to first token across requests that produced one."""
-        ttfts = [m.ttft_s for m in self.metrics.values() if m.ttft_s is not None]
-        if not ttfts:
-            return float("nan")
-        return float(np.mean(ttfts))
-
-    def p95_ttft_s(self) -> float:
-        """95th-percentile time to first token on the modelled clock."""
-        ttfts = [m.ttft_s for m in self.metrics.values() if m.ttft_s is not None]
-        if not ttfts:
-            return float("nan")
-        return float(np.percentile(ttfts, 95))
-
 
 class AsyncServingEngine:
     """Event-driven serving over one :class:`SpecEEEngine` (module docstring)."""
+
+    #: Consecutive anomalous ticks that trip the speculation kill-switch.
+    anomaly_detect_ticks = 2
+    #: Clean ticks after which a tripped kill-switch re-arms speculation.
+    degrade_window = 8
 
     def __init__(
         self,
@@ -419,11 +437,9 @@ class AsyncServingEngine:
         *,
         device: str = "a100-80g",
         framework: str = "vllm",
-        cpu_device: Optional[str] = None,
         batch_capacity: int = 8,
         kv_blocks: int = 256,
         block_size: int = 16,
-        n_kv_heads: Optional[int] = None,
         scheduler_factory: Optional[Callable[[], Scheduler]] = None,
         admission: str = "optimistic",
         preemption: str = "auto",
@@ -435,16 +451,15 @@ class AsyncServingEngine:
         control_seed: int = 0,
         faults: Optional[ReplicaFaultView] = None,
         watchdog_ticks: Optional[int] = None,
-        degrade_window: int = 8,
-        anomaly_detect_ticks: int = 2,
         prefix_share: bool = False,
     ):
         """Build the async server.
 
         ``cluster`` (a :class:`~repro.distributed.ClusterSpec`) shards the
         run: ticks are priced by the cluster model instead of the
-        single-``device`` roofline, and the paged cache becomes one pool per
-        pipeline stage (``kv_blocks`` blocks on each stage device).
+        single-``device`` roofline; the paged cache stays one pool of
+        ``kv_blocks`` blocks, which is each stage device's pool (see
+        :func:`build_paged_cache`).
         ``scheduling`` picks the :class:`SchedulingPolicy` that orders
         admission/service and selects preemption victims (``"fifo_priority"``
         or ``"edf"``, or a policy instance).  ``batched`` routes each tick's
@@ -466,9 +481,9 @@ class AsyncServingEngine:
         :class:`~repro.serving.faults.FaultInjector`.  ``watchdog_ticks``
         fails any admitted sequence that makes no prefill/decode/resume
         progress for that many consecutive ticks (None disables the
-        watchdog).  ``anomaly_detect_ticks`` consecutive anomalous ticks trip
-        the speculation kill-switch into degraded dense decode, which re-arms
-        after ``degrade_window`` clean ticks.
+        watchdog).  :attr:`anomaly_detect_ticks` consecutive anomalous ticks
+        trip the speculation kill-switch into degraded dense decode, which
+        re-arms after :attr:`degrade_window` clean ticks.
 
         ``prefix_share`` pages prompts into the paged cache through a shared
         radix tree: a fresh admission adopts the blocks of every previously
@@ -487,8 +502,6 @@ class AsyncServingEngine:
             raise ValueError("chunk_prefill_tokens must be >= 1 (or None)")
         if watchdog_ticks is not None and watchdog_ticks < 1:
             raise ValueError("watchdog_ticks must be >= 1 (or None)")
-        if degrade_window < 1 or anomaly_detect_ticks < 1:
-            raise ValueError("degrade_window and anomaly_detect_ticks must be >= 1")
         self.engine = engine
         if isinstance(model_spec, str):
             model_spec = get_model_spec(model_spec)
@@ -497,15 +510,12 @@ class AsyncServingEngine:
             from repro.distributed.latency import ClusterLatencyModel
 
             self.latency: LatencyModel = ClusterLatencyModel(
-                model_spec, self.cluster, framework, cpu_device=cpu_device)
+                model_spec, self.cluster, framework)
         else:
-            self.latency = LatencyModel(model_spec, device, framework,
-                                        cpu_device=cpu_device)
-        n_stages = self.cluster.pp if self.cluster is not None else 1
+            self.latency = LatencyModel(model_spec, device, framework)
         self.prefix_share = bool(prefix_share)
-        self.cache = build_paged_cache(engine, kv_blocks, block_size, n_kv_heads,
-                                       n_stages=n_stages,
-                                       prefix_share=self.prefix_share)
+        self.cache = build_paged_cache(engine, kv_blocks, block_size,
+                                       self.prefix_share)
         self.policy = AdmissionPolicy(
             n_blocks=kv_blocks, block_size=block_size, batch_capacity=batch_capacity,
             prefix_share=self.prefix_share,
@@ -527,8 +537,6 @@ class AsyncServingEngine:
                 base_threshold=engine.config.exit_threshold, seed=control_seed)
         self.faults = faults
         self.watchdog_ticks = watchdog_ticks
-        self.degrade_window = degrade_window
-        self.anomaly_detect_ticks = anomaly_detect_ticks
         # Service-rate estimate for deadline slack: starts at the roofline
         # full-depth token time, replaced by the run's observed tick time
         # once ticks exist (see _service_estimate_s).
@@ -1042,10 +1050,7 @@ class AsyncServingEngine:
         self.dead = True
         self.cache = build_paged_cache(
             self.engine, self.cache.allocator.n_blocks, self.cache.block_size,
-            self.cache.n_kv_heads,
-            n_stages=self.cluster.pp if self.cluster is not None else 1,
-            prefix_share=self.prefix_share,
-        )
+            self.prefix_share)
         return salvage
 
     def restart(self, at_s: float) -> None:
@@ -1095,10 +1100,7 @@ class AsyncServingEngine:
         # preemption="never" MemoryError) must not leak blocks into this one.
         self.cache = build_paged_cache(
             self.engine, self.cache.allocator.n_blocks, self.cache.block_size,
-            self.cache.n_kv_heads,
-            n_stages=self.cluster.pp if self.cluster is not None else 1,
-            prefix_share=self.prefix_share,
-        )
+            self.prefix_share)
 
     def submit(self, request: Request,
                salvage: Optional[AsyncSequence] = None) -> None:
@@ -1228,6 +1230,8 @@ class AsyncServingEngine:
         report.wall_time_s = time.perf_counter() - self._wall_start
         report.serving_ledger.steps = self.step_count
         report.serving_ledger.prompt_tokens = self._prompt_tokens
+        # Rebuilt from scratch, so sealing twice cannot double-count.
+        report.sequential_ledger = CostLedger()
         for result in report.results.values():
             report.sequential_ledger.merge(result.ledger)
         report.sequential_time_s = self.latency.price(report.sequential_ledger).total_s
@@ -1239,7 +1243,6 @@ class AsyncServingEngine:
             report.prefix_prompt_tokens = self.cache.prefix_prompt_tokens
             report.prefix_matched_tokens = self.cache.prefix_matched_tokens
             report.cow_copies = self.cache.cow_copies
-            report.prefix_hit_rate = self.cache.prefix_hit_rate()
         return report
 
     def run(self, trace: Sequence[Request]) -> AsyncServingReport:
@@ -1310,9 +1313,3 @@ class AsyncServingEngine:
         if ledger.tokens_generated == 0:
             return float(self.engine.model.n_layers)
         return ledger.units(Event.BATCH_DECODER_LAYER) / ledger.tokens_generated
-
-    def observed_exit_rate(self) -> float:
-        """Fraction of the layer stack early exit skips, averaged per token:
-        0 = every token runs full depth, higher = more/earlier exits."""
-        return 1.0 - (self.observed_layers_per_token()
-                      / self.engine.model.n_layers)

@@ -204,10 +204,6 @@ class PagedKVCache:
             del self._ref[block]
             self.allocator.free(block)
 
-    def block_ref_count(self, block: int) -> int:
-        """Current holder count of a physical block (sharing mode only)."""
-        return self._ref.get(block, 0)
-
     # -- KV I/O ---------------------------------------------------------------
     def append(self, seq_id: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append one token's KV (``[n_kv_heads, head_dim]``).
@@ -442,8 +438,7 @@ class PagedKVCache:
 
     def swap_in_blocks_needed(self, seq_id: int) -> int:
         """Device blocks a :meth:`swap_in` of ``seq_id`` would allocate —
-        the one formula capacity prechecks (including the per-stage facade's
-        all-or-nothing check) must agree with."""
+        the one formula capacity prechecks must agree with."""
         count = self.host_length(seq_id)
         return -(-count // self.block_size) if count else 0
 

@@ -61,13 +61,12 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.serving.async_engine import (
     AsyncRequestMetrics,
     AsyncSequence,
     AsyncServingEngine,
     AsyncServingReport,
+    RequestFold,
 )
 from repro.serving.faults import FaultInjector, FaultPlan, ReplicaHealth
 from repro.serving.request import Request
@@ -219,8 +218,14 @@ def make_routing_policy(spec: Union[str, RoutingPolicy]) -> RoutingPolicy:
 # fleet report
 # ---------------------------------------------------------------------------
 @dataclass
-class ServingFleetReport:
-    """Outcome of one :meth:`ServingRouter.run` across every replica."""
+class ServingFleetReport(RequestFold):
+    """Outcome of one :meth:`ServingRouter.run` across every replica.
+
+    Request-level statistics (throughput, goodput, SLO attainment, latency
+    and TTFT moments, prefix hit rate) are the :class:`RequestFold` over the
+    merged replica reports — the same definitions a single engine's report
+    uses.
+    """
 
     replica_reports: List[AsyncServingReport] = field(default_factory=list)
     assignments: Dict[int, int] = field(default_factory=dict)
@@ -280,28 +285,11 @@ class ServingFleetReport:
         return merged
 
     @property
-    def total_tokens(self) -> int:
-        """Tokens generated fleet-wide."""
-        return sum(r.total_tokens for r in self.replica_reports)
-
-    @property
     def makespan_s(self) -> float:
         """Fleet makespan: the latest replica clock (shared time origin)."""
         if not self.replica_reports:
             return 0.0
         return max(r.makespan_s for r in self.replica_reports)
-
-    @property
-    def throughput_tps(self) -> float:
-        """Fleet tokens per modelled second over the fleet makespan."""
-        if self.makespan_s <= 0:
-            return float("nan")
-        return self.total_tokens / self.makespan_s
-
-    @property
-    def good_tokens(self) -> int:
-        """SLO-meeting tokens fleet-wide (see the per-replica report)."""
-        return sum(r.good_tokens for r in self.replica_reports)
 
     @property
     def prefix_prompt_tokens(self) -> int:
@@ -313,59 +301,9 @@ class ServingFleetReport:
         """Prompt tokens adopted from shared blocks fleet-wide."""
         return sum(r.prefix_matched_tokens for r in self.replica_reports)
 
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fleet-wide shared-prefix token hit rate (NaN with sharing off)."""
-        if self.prefix_prompt_tokens == 0:
-            return float("nan")
-        return self.prefix_matched_tokens / self.prefix_prompt_tokens
-
-    @property
-    def mean_ttft_s(self) -> float:
-        """Mean time to first token across every finished request."""
-        ttfts = [m.ttft_s for m in self.metrics.values()
-                 if m.ttft_s is not None]
-        if not ttfts:
-            return float("nan")
-        return float(np.mean(ttfts))
-
-    @property
-    def goodput_tps(self) -> float:
-        """Fleet goodput: SLO-meeting tokens per modelled second."""
-        if self.makespan_s <= 0:
-            return float("nan")
-        return self.good_tokens / self.makespan_s
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of deadline-carrying requests that met their deadline,
-        fleet-wide; router- and replica-rejected requests count as missed."""
-        met = 0
-        total = self.rejected_with_slo
-        total += sum(r.rejected_with_slo for r in self.replica_reports)
-        for metric in self.metrics.values():
-            if metric.deadline_s is None:
-                continue
-            total += 1
-            met += bool(metric.met_slo)
-        if total == 0:
-            return float("nan")
-        return met / total
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean end-to-end request latency across the fleet."""
-        metrics = self.metrics
-        if not metrics:
-            return float("nan")
-        return float(np.mean([m.latency_s for m in metrics.values()]))
-
-    def p95_latency_s(self) -> float:
-        """95th-percentile end-to-end request latency across the fleet."""
-        metrics = self.metrics
-        if not metrics:
-            return float("nan")
-        return float(np.percentile([m.latency_s for m in metrics.values()], 95))
+    def _slo_rejections(self) -> int:
+        return self.rejected_with_slo + sum(
+            r.rejected_with_slo for r in self.replica_reports)
 
     @property
     def replica_request_counts(self) -> List[int]:
@@ -415,6 +353,12 @@ class ServingFleetReport:
 # ---------------------------------------------------------------------------
 Workload = Union[Sequence[Request], ClosedLoopClients]
 
+#: Crash-triggered re-queues after which a request is lost.
+MAX_RETRIES = 3
+#: Failover redelivery backoff on the modelled clock: first wait, and its cap.
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_CAP_S = 0.4
+
 
 class ServingRouter:
     """Data-parallel front-end over N async serving replicas (module doc)."""
@@ -424,11 +368,7 @@ class ServingRouter:
                  *,
                  faults: Union[None, str, FaultPlan] = None,
                  fault_seed: int = 0,
-                 failover: bool = True,
-                 max_retries: int = 3,
-                 retry_backoff_s: float = 0.05,
-                 retry_backoff_cap_s: float = 0.4,
-                 permanent_after: int = 2):
+                 failover: bool = True):
         """Wire the router to its replicas, routing policy and fault plan.
 
         ``faults`` is a :class:`~repro.serving.faults.FaultPlan`, a spec
@@ -437,28 +377,19 @@ class ServingRouter:
         ``fault_seed`` resolves the plan's ``replica="any"`` picks and seeds
         corruption RNG streams.  ``failover`` re-queues a crashed replica's
         in-flight work onto healthy replicas (False = lose it, the ablation);
-        each re-queue waits ``min(retry_backoff_s * 2**retries,
-        retry_backoff_cap_s)`` on the modelled clock and a request is lost
-        after ``max_retries`` crash-triggered re-queues.  A replica whose
-        consecutive-crash streak reaches ``permanent_after`` is marked
-        permanently dead and its scheduled restarts are ignored."""
+        each re-queue waits ``min(RETRY_BACKOFF_S * 2**retries,
+        RETRY_BACKOFF_CAP_S)`` on the modelled clock and a request is lost
+        after ``MAX_RETRIES`` crash-triggered re-queues.  A replica whose
+        consecutive-crash streak reaches ``ReplicaHealth.permanent_after`` is
+        marked permanently dead and its scheduled restarts are ignored."""
         if not replicas:
             raise ValueError("a fleet needs at least one replica")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if retry_backoff_s <= 0 or retry_backoff_cap_s <= 0:
-            raise ValueError("retry backoff parameters must be positive")
         self.replicas: List[AsyncServingEngine] = list(replicas)
         self.routing = make_routing_policy(route)
         self.faults = faults
         self.fault_seed = fault_seed
         self.failover = failover
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_cap_s = retry_backoff_cap_s
-        self.permanent_after = permanent_after
-        self.health: List[ReplicaHealth] = [
-            ReplicaHealth(permanent_after=permanent_after) for _ in replicas]
+        self.health: List[ReplicaHealth] = [ReplicaHealth() for _ in replicas]
         # (ready_s, request_id, request, salvaged slot or None), kept sorted;
         # request ids are unique so comparisons never reach the payload.
         self._failover: List[tuple] = []
@@ -526,13 +457,12 @@ class ServingRouter:
         exponential backoff on the modelled clock; work that has exhausted
         its retry budget is lost instead."""
         retries = self._retries.get(request.request_id, 0) + 1
-        if retries > self.max_retries:
+        if retries > MAX_RETRIES:
             self._lose(request, slot, report,
-                       f"failover gave up after {self.max_retries} retries")
+                       f"failover gave up after {MAX_RETRIES} retries")
             return
         self._retries[request.request_id] = retries
-        backoff = min(self.retry_backoff_s * 2 ** (retries - 1),
-                      self.retry_backoff_cap_s)
+        backoff = min(RETRY_BACKOFF_S * 2 ** (retries - 1), RETRY_BACKOFF_CAP_S)
         bisect.insort(self._failover, (at_s + backoff, request.request_id,
                                        request, slot))
         self._failover_ids.add(request.request_id)
@@ -617,8 +547,7 @@ class ServingRouter:
         self.routing.reset()
         injector = FaultInjector(self.faults, len(self.replicas),
                                  seed=self.fault_seed)
-        self.health = [ReplicaHealth(permanent_after=self.permanent_after)
-                       for _ in self.replicas]
+        self.health = [ReplicaHealth() for _ in self.replicas]
         self._failover, self._retries, self._failover_ids = [], {}, set()
         for index, replica in enumerate(self.replicas):
             replica.begin([])

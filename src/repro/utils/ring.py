@@ -70,8 +70,5 @@ class CircularQueue:
         self._start = 0
         self._size = 0
 
-    def to_list(self) -> List[int]:
-        return list(self)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CircularQueue(capacity={self.capacity}, items={list(self)})"

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.eval.harness import build_rig
+from repro.serving import poisson_trace
 
 
 class TestParser:
@@ -63,7 +67,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "closed batch" in out and "never preemption" in out
         assert "sched=edf" in out and "control=pressure" in out
-        assert "control policy               | pressure" in out
+        assert re.search(r"control policy\s+\| pressure", out)
         # A pool too tight for the batch needs preemption, which is off.
         assert main(common + ["--kv-blocks", "8"]) == 2
         assert "enable preemption" in capsys.readouterr().err
@@ -133,9 +137,38 @@ class TestFleetServe:
                      "--block-size", "4"]) == 0
         assert "sched=edf" in capsys.readouterr().out
 
-    def test_fleet_without_workload_errors(self, capsys):
-        assert main(["serve", "--replicas", "2"]) == 2
-        assert "needs a workload" in capsys.readouterr().err
+    def test_fleet_serves_a_closed_batch(self, capsys):
+        """A closed batch is a workload like any other: --trace off at
+        --replicas 2 routes the t=0 arrivals across the fleet."""
+        assert main(["serve", "--replicas", "2", "--trace", "off",
+                     "--requests", "6", "--max-new-tokens", "12",
+                     "--batch-capacity", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "fleet serving: 2x" in out and "closed batch" in out
+        assert re.search(r"requests served\s+\| 6\b", out)
+        assert re.search(r"requests per replica\s+\| 3/3", out)
+
+    def test_one_replica_cli_agrees_with_the_engine_api(self, capsys):
+        """--replicas 1 is the engine: the table's tokens, ticks and
+        makespan are what driving AsyncServingEngine directly reports."""
+        assert main(["serve", "--replicas", "1", "--trace", "poisson",
+                     "--requests", "6", "--max-new-tokens", "12",
+                     "--batch-capacity", "4", "--kv-blocks", "16",
+                     "--block-size", "4"]) == 0
+        out = capsys.readouterr().out
+        rig = build_rig("llama2-7b", train_prompts=6, train_tokens=30,
+                        predictor_hidden=128, epochs=10)
+        engine = rig.async_serving_engine(
+            batch_capacity=4, kv_blocks=16, block_size=4, control="static")
+        report = engine.run(poisson_trace(
+            6, 10.0, rig.model.vocab_size, slo_scale=3.0, seed=7,
+            per_token_s=engine.latency.full_depth_token_time(),
+            max_new_tokens_range=(6, 12)))
+        for label, value in [("tokens generated", report.total_tokens),
+                             ("scheduler ticks", report.n_steps),
+                             ("makespan (modelled s)",
+                              f"{report.makespan_s:.3f}")]:
+            assert re.search(rf"{re.escape(label)}\s+\| {value}\s", out), label
 
     def test_clients_and_trace_conflict_errors(self, capsys):
         assert main(["serve", "--replicas", "2", "--clients", "closed:4",

@@ -1,8 +1,8 @@
 """Multi-device sharded serving: cluster/link validation, sharded-event
-accounting invariants, cluster pricing physics, per-stage paged KV, and the
+accounting invariants, cluster pricing physics, the one paged pool under
+pipeline parallelism (pinned against the deleted per-stage facade), and the
 token-identity guarantee for closed batches and traces under TP/PP."""
 
-import numpy as np
 import pytest
 
 from repro.config import get_model_spec
@@ -10,7 +10,6 @@ from repro.distributed import (
     ClusterLatencyModel,
     ClusterSpec,
     LinkSpec,
-    ShardedPagedKV,
     make_cluster,
     make_replica_clusters,
     record_decode_batches,
@@ -21,7 +20,8 @@ from repro.eval.harness import build_rig
 from repro.hardware.devices import get_device
 from repro.hardware.latency import LatencyModel
 from repro.hardware.ledger import CostLedger, Event
-from repro.serving import Request, poisson_trace
+from repro.serving import PagedKVCache, Request, chat_trace, poisson_trace
+from repro.serving.faults import FaultInjector
 
 # Same asset-cache key as the other serving tests, so training happens once.
 RIG_KWARGS = dict(train_prompts=6, train_tokens=30, predictor_hidden=128, epochs=10)
@@ -222,77 +222,97 @@ class TestClusterPricing:
 
 
 # ---------------------------------------------------------------------------
-# per-stage paged KV
+# one paged pool under any pipeline depth
 # ---------------------------------------------------------------------------
-class TestShardedPagedKV:
-    def make(self, n_stages=2, n_blocks=4, block_size=2):
-        return ShardedPagedKV(n_stages=n_stages, n_blocks=n_blocks,
-                              block_size=block_size, n_kv_heads=2, head_dim=2)
+class TestPipelinePoolPinned:
+    """Every literal below was measured on the parent commit, where a
+    ``pp=2`` engine drove two mirrored per-stage pools through the
+    ``ShardedPagedKV`` facade: the one ``PagedKVCache`` must make the same
+    admission, preemption and swap decisions at the same modelled times."""
 
-    def entry(self, t):
-        return np.full((2, 2), float(t)), np.full((2, 2), -float(t))
+    def swap_engine(self, rig, **kwargs):
+        return rig.async_serving_engine(
+            batch_capacity=4, kv_blocks=12, block_size=4,
+            chunk_prefill_tokens=16, preemption="swap",
+            cluster=make_cluster("a100-80g", pp=2), **kwargs)
 
-    def test_stages_stay_in_lockstep(self):
-        cache = self.make()
-        cache.add_sequence(0)
-        for t in range(3):
-            cache.append(0, *self.entry(t))
-        assert cache.length(0) == 3
-        for stage in cache.stages:
-            assert stage.length(0) == 3
-            assert stage.block_table(0) == cache.stages[0].block_table(0)
-        assert cache.blocks_in_use() == 2  # per-device blocks, not summed
-        assert cache.allocator.free_blocks == 2
+    def swap_trace(self, rig, engine):
+        return list(poisson_trace(
+            8, 40.0, rig.model.vocab_size, seed=3, slo_scale=None,
+            max_new_tokens_range=(24, 40),
+            per_token_s=engine.latency.full_depth_token_time()))
 
-    def test_gather_bit_exact_per_stage(self):
-        cache = self.make()
-        cache.add_sequence(7)
-        for t in range(5):
-            cache.append(7, *self.entry(t))
-        k0, v0 = cache.gather(7)
-        for stage in cache.stages:
-            k, v = stage.gather(7)
-            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+    def chat_engine(self, rig, kv_blocks):
+        return rig.async_serving_engine(
+            batch_capacity=6, kv_blocks=kv_blocks, block_size=4,
+            chunk_prefill_tokens=16, prefix_share=True,
+            cluster=make_cluster("a100-80g", pp=2))
 
-    def test_swap_roundtrip_restores_every_stage(self):
-        cache = self.make()
-        cache.add_sequence(1)
-        for t in range(4):
-            cache.append(1, *self.entry(t))
-        k_before, v_before = cache.gather(1)
-        assert cache.swap_out(1) == 4
-        assert cache.is_swapped(1)
-        assert cache.host_tokens() == 4
-        assert cache.blocks_in_use() == 0
-        assert cache.swap_in(1) == 4
-        k_after, v_after = cache.gather(1)
-        assert np.array_equal(k_before, k_after)
-        assert np.array_equal(v_before, v_after)
+    def chat(self, rig, engine):
+        return list(chat_trace(
+            6, rig.model.vocab_size, tenants=2, turns=3, seed=4,
+            rate_per_s=40.0, think_time_s=0.05,
+            per_token_s=engine.latency.full_depth_token_time()))
 
-    def test_failed_swap_in_keeps_all_host_copies(self):
-        cache = self.make(n_blocks=2)
-        cache.add_sequence(1)
-        for t in range(4):
-            cache.append(1, *self.entry(t))
-        cache.swap_out(1)
-        cache.add_sequence(2)
-        for t in range(3):
-            cache.append(2, *self.entry(10 + t))
-        with pytest.raises(MemoryError):
-            cache.swap_in(1)
-        assert cache.is_swapped(1)
-        for stage in cache.stages:
-            assert stage.is_swapped(1)
+    def test_swap_preempting_trace(self, rig):
+        engine = self.swap_engine(rig)
+        report = engine.run(self.swap_trace(rig, engine))
+        assert len(report.results) == 8 and not report.rejected
+        assert (report.preemptions, report.swaps, report.recomputes) == (14, 13, 1)
+        assert report.peak_kv_blocks == 12
+        assert report.peak_host_tokens == 40
+        assert report.cow_copies == 0
+        assert report.n_steps == 132
+        assert report.makespan_s == 2.271276565507099
 
-    def test_free_sequence_frees_every_stage(self):
-        cache = self.make()
-        cache.add_sequence(3)
-        for t in range(4):
-            cache.append(3, *self.entry(t))
-        cache.free_sequence(3)
-        assert cache.allocator.free_blocks == 4
-        for stage in cache.stages:
-            assert stage.allocator.free_blocks == 4
+    def test_prefix_share_chat_trace(self, rig):
+        engine = self.chat_engine(rig, kv_blocks=56)
+        report = engine.run(self.chat(rig, engine))
+        assert len(report.results) == 18 and not report.rejected
+        assert (report.preemptions, report.swaps, report.recomputes) == (5, 2, 3)
+        assert report.peak_kv_blocks == 56
+        assert report.peak_host_tokens == 43
+        assert report.cow_copies == 25
+        assert report.n_steps == 67
+        assert report.makespan_s == 1.8808291424792496
+
+    def test_admission_backoff_under_sharing_serves_the_trace(self, rig):
+        """This pool size made the parent's facade raise ``stages diverged on
+        evict_prefix_leaves``: a prompt prefill that ran out of blocks rolled
+        back on stage 0 after evicting radix leaves there, and never touched
+        stage 1.  One pool has nothing to diverge from."""
+        engine = self.chat_engine(rig, kv_blocks=60)
+        trace = self.chat(rig, engine)
+        report = engine.run(trace)
+        assert len(report.results) == 18 and report.preemptions > 0
+        sequential = rig.specee_engine()
+        for request in trace:
+            assert (report.results[request.request_id].tokens
+                    == sequential.generate(
+                        request.prompt, request.max_new_tokens).tokens)
+
+    def test_any_pipeline_depth_holds_one_pool(self, rig):
+        engine = rig.async_serving_engine(
+            kv_blocks=32, block_size=4, cluster=make_cluster("a100-80g", pp=4))
+        assert type(engine.cache) is PagedKVCache
+        assert engine.cache.allocator.n_blocks == 32  # the per-device pool
+        engine.begin([])
+        assert type(engine.cache) is PagedKVCache
+        engine.fail()
+        assert type(engine.cache) is PagedKVCache
+
+    def test_corruption_counted_once_and_recovered(self, rig):
+        clean = self.swap_engine(rig)
+        base = clean.run(self.swap_trace(rig, clean))
+        view = FaultInjector("corrupt@0.0:replica=0", 1, seed=5).view(0)
+        engine = self.swap_engine(rig, faults=view)
+        report = engine.run(self.swap_trace(rig, engine))
+        assert report.kv_corruptions == 1
+        assert report.recomputes == 2  # the damaged blob fell back
+        assert report.n_steps == 132
+        assert report.makespan_s == 2.284464929237297
+        assert ({i: r.tokens for i, r in report.results.items()}
+                == {i: r.tokens for i, r in base.results.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ flag docs, and the public-docstring contract must stay in sync."""
 
 import argparse
 import ast
+import inspect
 import json
 import pathlib
 import re
@@ -14,7 +15,8 @@ from repro.cli import build_parser
 from repro.experiments import REGISTRY
 from repro.hardware.ledger import Event
 from repro.serving import (CONTROL_POLICIES, ROUTING_POLICIES,
-                           SCHEDULING_POLICIES)
+                           SCHEDULING_POLICIES, AsyncServingEngine,
+                           ServingRouter)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -207,6 +209,19 @@ class TestCliFlagDocs:
         documented = self.documented_flags()
         assert fleet_flags <= documented, (
             f"fleet flags undocumented: {sorted(fleet_flags - documented)}")
+
+
+class TestOptionCountRatchet:
+    def test_serving_option_counts_only_go_down(self):
+        """The knob ratchet beside CI's src/ line ratchet: every constructor
+        keyword and serve flag multiplies the configurations tests must
+        cover, so the counts may fall but not rise — delete a knob before
+        you add one, then lower the ceiling."""
+        n_params = lambda cls: len(inspect.signature(cls.__init__).parameters)
+        serve_flags = _option_strings(_cli_subparsers()["serve"]) - {"--help"}
+        assert n_params(AsyncServingEngine) <= 20  # self, engine, spec + 17
+        assert n_params(ServingRouter) <= 6  # self, replicas, route + 3
+        assert len(serve_flags) <= 38
 
 
 class TestPolicyDocs:

@@ -245,6 +245,18 @@ class TestServingLedger:
         assert report.speedup > 1.5
         assert report.throughput_tps > report.sequential_tps
 
+    def test_finish_report_is_idempotent(self, rig):
+        """Sealing twice must not fold the result ledgers in twice."""
+        serving = closed_batch_engine(rig, batch_capacity=4, kv_blocks=64,
+                                      block_size=4)
+        first = serving.run(make_requests([8] * 4))
+        sealed = (first.sequential_tps, first.speedup,
+                  first.sequential_ledger.as_dict())
+        assert first.sequential_ledger.tokens_generated == 32
+        again = serving.finish_report()
+        assert (again.sequential_tps, again.speedup,
+                again.sequential_ledger.as_dict()) == sealed
+
 
 class TestClosedBatchLedgerPinned:
     """The ``bench_serving_throughput`` request set (seed 0), served as a

@@ -1,10 +1,12 @@
 """Data-parallel replica router: routing-policy selection, token identity
-against single-replica serving, fleet-report aggregation, closed-loop client
-interaction, and per-replica cluster sharding."""
+against single-replica serving, the fleet of width 1 equalling the engine,
+fleet-report aggregation, closed-loop client interaction, and per-replica
+cluster sharding."""
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.distributed import make_cluster
 from repro.eval.harness import build_rig
@@ -12,6 +14,7 @@ from repro.serving import (
     ClosedLoopClients,
     Request,
     ServingRouter,
+    chat_trace,
     make_routing_policy,
     poisson_trace,
 )
@@ -119,6 +122,72 @@ class TestTokenIdentity:
 
 
 # ---------------------------------------------------------------------------
+# N = 1: a lone engine is the fleet of width 1
+# ---------------------------------------------------------------------------
+def _workload(rig, kind, seed, per_token_s):
+    if kind == "closed":
+        return [Request(i, [seed + i + 3, 2 * i + 1, (5 * i) % 200 + 2], 10 + i)
+                for i in range(6)]
+    if kind == "chat":
+        return list(chat_trace(3, rig.model.vocab_size, tenants=2, turns=2,
+                               rate_per_s=30.0, think_time_s=0.05, seed=seed,
+                               per_token_s=per_token_s))
+    return list(poisson_trace(8, 60.0, rig.model.vocab_size, seed=seed,
+                              slo_scale=4.0, per_token_s=per_token_s,
+                              max_new_tokens_range=(6, 14), priority_levels=2))
+
+
+class TestFleetOfOneIsTheEngine:
+    """The net under the single `repro serve` path: whatever the engine
+    knobs, pool size or traffic shape, routing a workload through
+    ``router_fleet(1, ...)`` runs exactly the ticks ``AsyncServingEngine.run``
+    runs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        admission=st.sampled_from(["optimistic", "reserve"]),
+        preemption=st.sampled_from(["auto", "swap", "recompute", "never"]),
+        chunk=st.sampled_from([None, 8, 32]),
+        prefix_share=st.booleans(),
+        scheduling=st.sampled_from(["fifo_priority", "edf", "fair_tenant"]),
+        control=st.sampled_from([None, "static", "pressure"]),
+        kv_blocks=st.sampled_from([10, 16, 48]),
+        kind=st.sampled_from(["closed", "poisson", "chat"]),
+        seed=st.integers(0, 5),
+    )
+    def test_one_replica_fleet_equals_engine(
+            self, rig, admission, preemption, chunk, prefix_share, scheduling,
+            control, kv_blocks, kind, seed):
+        kwargs = dict(batch_capacity=4, kv_blocks=kv_blocks, block_size=4,
+                      admission=admission, preemption=preemption,
+                      chunk_prefill_tokens=chunk, prefix_share=prefix_share,
+                      control=control)
+        engine = rig.async_serving_engine(scheduling=scheduling, **kwargs)
+        fleet = rig.router_fleet(1, scheduling=scheduling, **kwargs)
+        workload = _workload(rig, kind, seed,
+                             engine.latency.full_depth_token_time())
+        try:
+            alone = engine.run(workload)
+        except MemoryError:
+            # preemption="never" on a pool too tight: the fleet must fail
+            # the same way, not serve something else.
+            with pytest.raises(MemoryError):
+                fleet.run(workload)
+            return
+        routed = fleet.run(workload)
+        replica = routed.replica_reports[0]
+        tokens = lambda report: {i: r.tokens for i, r in report.results.items()}
+        assert tokens(replica) == tokens(alone)
+        assert replica.tick_seconds == alone.tick_seconds
+        assert replica.serving_ledger.as_dict() == alone.serving_ledger.as_dict()
+        # An oversized request stops at the router instead of the engine.
+        assert set(routed.rejected) | set(replica.rejected) == set(alone.rejected)
+        stamps = lambda report: {i: (m.finish_s, m.first_token_s)
+                                 for i, m in report.metrics.items()}
+        assert stamps(replica) == stamps(alone)
+
+
+# ---------------------------------------------------------------------------
 # fleet report aggregation
 # ---------------------------------------------------------------------------
 class TestFleetReport:
@@ -162,6 +231,21 @@ class TestFleetReport:
     def test_latency_percentiles(self, report):
         assert report.mean_latency_s > 0
         assert report.p95_latency_s() >= report.mean_latency_s * 0.5
+
+    @pytest.mark.parametrize("name", [
+        "total_tokens", "throughput_tps", "good_tokens", "goodput_tps",
+        "slo_attainment", "mean_latency_s", "p95_latency_s", "mean_ttft_s",
+        "p95_ttft_s", "prefix_hit_rate"])
+    def test_fold_is_one_definition(self, rig, trace, name):
+        """Each request-level statistic on a one-replica fleet report is the
+        same statistic on that replica's own report (NaN included)."""
+        fleet = rig.router_fleet(1, scheduling="edf", prefix_share=True,
+                                 **FLEET_KWARGS).run(trace)
+        value = lambda report: (getattr(report, name)()
+                                if name.startswith("p95")
+                                else getattr(report, name))
+        whole, part = value(fleet), value(fleet.replica_reports[0])
+        assert whole == part or (math.isnan(whole) and math.isnan(part))
 
 
 # ---------------------------------------------------------------------------
