@@ -2,67 +2,22 @@
 
 Each iteration drafts a token tree, verifies it with one full-depth batched
 forward of the target model, and emits the accepted path plus a bonus token.
-SpecEE+EAGLE (:class:`~repro.core.spec_engine.SpecEESpeculativeEngine`)
-shares the drafting and acceptance logic; the only difference is that the
-verify forward here always runs all layers.
+That is SpecEE+EAGLE (:class:`~repro.core.spec_engine.SpecEESpeculativeEngine`)
+with exiting switched off — the same drafting, verify forward and acceptance,
+every layer always run — so EAGLE *is* that engine, not a second loop.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-from repro.core.spec_engine import IterationRecord, SpecDecodeResult
-from repro.hardware.ledger import Event
-from repro.mapping.tree import greedy_accept
+from repro.core.spec_engine import SpecEESpeculativeEngine
 from repro.model.draft import TreeDrafter
 from repro.model.synthetic import SyntheticLayeredLM
 
 __all__ = ["EagleEngine"]
 
 
-class EagleEngine:
+class EagleEngine(SpecEESpeculativeEngine):
     """Tree-based speculative decoding at full depth."""
 
     def __init__(self, model: SyntheticLayeredLM, drafter: TreeDrafter):
-        self.model = model
-        self.drafter = drafter
-
-    def generate(self, prompt: Sequence[int], max_new_tokens: int) -> SpecDecodeResult:
-        model = self.model
-        state = model.start(prompt)
-        result = SpecDecodeResult()
-        result.ledger.prompt_tokens = len(state.context)
-        result.ledger.add(Event.PREFILL_LAYER, calls=model.n_layers,
-                          units=model.n_layers * len(state.context))
-        n_layers = model.n_layers
-        while len(result.tokens) < max_new_tokens:
-            tree = self.drafter.build(state.context)
-            result.ledger.add(Event.DRAFT_STEP, calls=self.drafter.depth)
-            model.begin_tree(state, tree.tokens, tree.parents)
-            m = len(tree)
-            hidden = None
-            root_hidden = None
-            for layer in range(n_layers):
-                hidden = model.tree_layer_forward(state, layer)
-                root_hidden = model.root_hidden(state, layer)
-                result.ledger.add(Event.TREE_VERIFY_LAYER, units=m + 1)
-            result.ledger.add(Event.LM_HEAD_FULL, calls=m + 1)
-            node_outputs = [
-                int(np.argmax(model.lm_head_full(hidden[i]))) for i in range(m)
-            ]
-            root_output = int(np.argmax(model.lm_head_full(root_hidden)))
-            accept = greedy_accept(tree, root_output, node_outputs)
-            model.end_tree(state, accept.tokens, n_layers - 1)
-            emitted = len(accept.tokens)
-            result.ledger.tokens_generated += emitted
-            result.ledger.steps += 1
-            result.tokens.extend(accept.tokens)
-            result.iterations.append(IterationRecord(
-                tree_size=m, accepted=len(accept.accepted_tokens),
-                tokens_emitted=emitted, exit_layer=n_layers - 1,
-                early_exit=False, predictor_evals=0,
-            ))
-        del result.tokens[max_new_tokens:]
-        return result
+        super().__init__(model, drafter, predictors=None, early_exit=False)

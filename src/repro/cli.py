@@ -18,7 +18,7 @@ import time
 from typing import IO, List, Optional
 
 from repro.config import MODELS, get_model_spec
-from repro.distributed.cluster import LINKS, make_replica_clusters
+from repro.distributed import LINKS, make_cluster
 from repro.experiments import REGISTRY
 from repro.hardware.devices import DEVICES
 from repro.serving.control import CONTROL_POLICIES
@@ -469,13 +469,10 @@ def _cmd_serve(args, out: IO[str]) -> int:
         if args.tp < 1 or args.pp < 1:
             raise ValueError(
                 f"--tp/--pp must be >= 1, got tp={args.tp} pp={args.pp}")
-        # One independent modelled cluster per replica (None on one device).
-        clusters = iter(make_replica_clusters(
-            args.replicas, args.device, tp=args.tp, pp=args.pp,
-            tp_link=args.tp_link, pp_link=args.pp_link))
         fleet = rig.router_fleet(
             args.replicas, route=args.route, scheduling=args.sched,
-            cluster_factory=clusters.__next__,
+            cluster=make_cluster(args.device, tp=args.tp, pp=args.pp,
+                                 tp_link=args.tp_link, pp_link=args.pp_link),
             faults=args.faults, fault_seed=args.fault_seed,
             failover=not args.no_failover,
             scheduler_kind=args.scheduler, device=args.device,

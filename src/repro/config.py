@@ -101,12 +101,9 @@ class SpecEEConfig:
     """Tunable knobs of the SpecEE engine (paper defaults in comments)."""
 
     num_speculative: int = 4  # k draft tokens per step (Sec. 4.3.2)
-    predictor_hidden: int = 512  # MLP hidden dim (Fig. 8 optimum)
-    predictor_layers: int = 2  # MLP depth (Fig. 8 optimum)
     exit_threshold: float = 0.5  # sigmoid threshold (Sec. 4.3.2)
     context_window: int = 5  # circular queue length N (Sec. 5.3)
     layer_vicinity: int = 2  # +/- layers counted as "near" (Sec. 5.2)
-    offline_top_fraction: float = 0.5  # share of layers kept by offline sched.
     min_exit_layer: int = 2  # never exit before this layer
     scheduler: str = "two_level"  # "all" | "offline" | "online" | "two_level"
     verify_on_exit: bool = True  # Sec. 4.3.3 verification algorithm

@@ -71,11 +71,14 @@ class SpecEESpeculativeEngine:
         self,
         model: SyntheticLayeredLM,
         drafter: TreeDrafter,
-        predictors: PredictorBank,
+        predictors: Optional[PredictorBank],
         config: Optional[SpecEEConfig] = None,
         scheduler: Optional[Scheduler] = None,
         early_exit: bool = True,
     ):
+        """``early_exit=False`` verifies every tree at full depth and never
+        consults ``predictors`` (which may then be ``None``) — the EAGLE
+        baseline."""
         self.model = model
         self.drafter = drafter
         self.predictors = predictors

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.distributed.cluster import ClusterSpec
+from repro.hardware.cluster import ClusterSpec
 from repro.hardware.ledger import CostLedger, Event
 
 __all__ = ["record_decode_batches", "record_prefill_allreduce",
@@ -36,19 +36,19 @@ __all__ = ["record_decode_batches", "record_prefill_allreduce",
 
 
 def record_decode_batches(
-    tick: CostLedger, batches: Sequence[int], cluster: ClusterSpec | None,
+    tick: CostLedger, batches: Sequence[int], cluster: ClusterSpec,
 ) -> None:
     """Ledger one tick's shared decode-layer executions, sharded if needed.
 
     ``batches[l]`` is the number of sequences still alive at layer depth
-    ``l`` this tick (the single-device form).  Without a cluster (or on a
-    1x1 cluster) each entry becomes one ``BATCH_DECODER_LAYER`` call; under
-    sharding each entry becomes ``min(m, b)`` micro-batched calls plus the
-    tensor-parallel all-reduces.
+    ``l`` this tick (the single-device form).  On a 1x1 cluster each entry
+    becomes one ``BATCH_DECODER_LAYER`` call; under sharding each entry
+    becomes ``min(m, b)`` micro-batched calls plus the tensor-parallel
+    all-reduces.
     """
     if not batches:
         return
-    if cluster is None or cluster.is_single:
+    if cluster.is_single:
         tick.add(Event.BATCH_DECODER_LAYER, calls=len(batches), units=sum(batches))
         return
     m = cluster.micro_batch_count(batches[0])
@@ -61,18 +61,18 @@ def record_decode_batches(
 
 def record_prefill_allreduce(
     tick: CostLedger, layer_calls: float, layer_tokens: float,
-    cluster: ClusterSpec | None,
+    cluster: ClusterSpec,
 ) -> None:
     """Add the TP collectives for ``layer_calls`` prefill-layer executions
     that together processed ``layer_tokens`` layer-tokens."""
-    if cluster is None or cluster.tp <= 1 or layer_calls <= 0:
+    if cluster.tp <= 1 or layer_calls <= 0:
         return
     tick.add(Event.ALLREDUCE, calls=2 * layer_calls, units=2 * layer_tokens)
 
 
 def record_tick_bubble(
     tick: CostLedger, deepest_layer: int, layer_tokens: float,
-    batch: int, cluster: ClusterSpec | None,
+    batch: int, cluster: ClusterSpec,
 ) -> None:
     """Add one tick's pipeline fill/drain bubble.
 
@@ -81,7 +81,7 @@ def record_tick_bubble(
     the average micro-batch a bubble slot fails to overlap), ``batch`` the
     tick's sequence count (bounds the micro-batch split).
     """
-    if cluster is None or cluster.pp <= 1 or deepest_layer <= 0:
+    if cluster.pp <= 1 or deepest_layer <= 0:
         return
     slots = (cluster.pp - 1) * -(-deepest_layer // cluster.pp)
     m = cluster.micro_batch_count(max(batch, 1))

@@ -206,7 +206,6 @@ class Rig:
         n_replicas: int,
         route: str = "round_robin",
         scheduling: str = "fifo_priority",
-        cluster_factory: Optional[Callable[[], object]] = None,
         faults=None,
         fault_seed: int = 0,
         failover: bool = True,
@@ -218,9 +217,9 @@ class Rig:
         Every replica is built through :meth:`async_serving_engine` (its own
         KV pool, ledger and scheduling-policy instance; SpecEE assets are
         shared, so per-request tokens match a single-replica run).
-        ``cluster_factory`` builds one fresh
-        :class:`~repro.distributed.ClusterSpec` per replica for a fleet of
-        modelled tp x pp shards.  ``faults``/``fault_seed``/``failover``
+        Engine keywords are shared by every replica — ``cluster=`` (a frozen
+        :class:`~repro.distributed.ClusterSpec`) makes a fleet of modelled
+        tp x pp shards.  ``faults``/``fault_seed``/``failover``
         configure deterministic fault injection and crash recovery (see
         :class:`~repro.serving.faults.FaultPlan` and the router docs).
         """
@@ -236,10 +235,7 @@ class Rig:
                 # fully deterministic for a given base seed.
                 kwargs["control_seed"] = kwargs["control_seed"] + index
             replicas.append(self.async_serving_engine(
-                scheduling=scheduling,
-                cluster=cluster_factory() if cluster_factory else None,
-                **kwargs,
-            ))
+                scheduling=scheduling, **kwargs))
         return ServingRouter(replicas, route=route, faults=faults,
                              fault_seed=fault_seed, failover=failover)
 

@@ -3,10 +3,10 @@
 A :class:`ClusterSpec` models a datacenter deployment of ``tp * pp``
 accelerators: tensor-parallel groups of ``tp`` devices joined by a fast
 intra-node link (NVLink-class), arranged into ``pp`` pipeline stages joined
-by a slower inter-node link (PCIe-class).  The spec is pure topology — the
-pricing of sharded work lives in
-:class:`~repro.distributed.latency.ClusterLatencyModel`, and the event
-rewriting that sharding implies lives in :mod:`repro.distributed.sharding`.
+by a slower inter-node link (PCIe-class).  One device is the 1x1 cluster.
+The spec is pure topology — the pricing of sharded work lives in
+:class:`~repro.hardware.latency.LatencyModel`, and the event rewriting that
+sharding implies lives in :mod:`repro.distributed.sharding`.
 
 The layout convention mirrors Megatron-LM: tensor parallelism is kept inside
 the fastest link domain because it synchronises twice per decoder layer,
@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.devices import DeviceSpec, get_device
 
-__all__ = ["LinkSpec", "LINKS", "get_link", "ClusterSpec", "make_cluster",
-           "make_replica_clusters"]
+__all__ = ["LinkSpec", "LINKS", "get_link", "ClusterSpec", "make_cluster"]
 
 
 @dataclass(frozen=True)
@@ -178,28 +177,3 @@ def make_cluster(
         tp_link=tpl, pp_link=ppl, micro_batches=micro_batches,
     )
 
-
-def make_replica_clusters(
-    n_replicas: int,
-    device: DeviceSpec | str = "a100-80g",
-    tp: int = 1,
-    pp: int = 1,
-    tp_link: LinkSpec | str = "nvlink",
-    pp_link: LinkSpec | str = "pcie4",
-    micro_batches: Optional[int] = None,
-) -> List[Optional[ClusterSpec]]:
-    """One independent ``tp x pp`` cluster per data-parallel replica.
-
-    The fleet-tier convenience for
-    :class:`~repro.serving.router.ServingRouter`: each replica of a
-    data-parallel fleet owns its own modelled shard group, so the list holds
-    ``n_replicas`` *distinct* :class:`ClusterSpec` objects (``None`` entries
-    when ``tp * pp == 1`` — a single-device replica carries no cluster).
-    """
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    if tp * pp == 1:
-        return [None] * n_replicas
-    return [make_cluster(device, tp=tp, pp=pp, tp_link=tp_link,
-                         pp_link=pp_link, micro_batches=micro_batches)
-            for _ in range(n_replicas)]

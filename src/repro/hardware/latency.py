@@ -1,4 +1,4 @@
-"""Roofline latency model: prices a cost ledger for (model, device, framework).
+"""Roofline latency model: prices a cost ledger for (model, cluster, framework).
 
 Single-stream LLM decoding is memory-bound: a decoder layer's latency is its
 weight (+KV) traffic over achieved bandwidth, floored by its FLOPs over
@@ -7,6 +7,28 @@ the weight traffic across tree tokens and pays a per-token FLOP increment.
 The draft model is priced like ~2 decoder layers of traffic (the paper notes
 the speculative model costs about one executed layer per token; EAGLE's head
 is 0.9-1.4 GB, Fig. 17).
+
+The machine is a ``tp x pp`` :class:`~repro.hardware.cluster.ClusterSpec`; a
+single device is the 1x1 case, where every term below divides by one:
+
+* **Tensor parallelism** — each decoder/prefill layer's weight traffic and
+  FLOPs are divided ``tp`` ways (Megatron-style column/row sharding), so
+  :meth:`LatencyModel.decoder_layer_time` / ``prefill_layer_time`` price the
+  *per-shard* layer.  The synchronisation this implies is not free: the
+  engines emit two ``ALLREDUCE`` events per sharded layer execution, priced
+  as a ring all-reduce over the ``tp_link``.
+* **Pipeline parallelism** — layers are distributed over ``pp`` stages that
+  work concurrently in steady state, so the summed layer-event time divides
+  by ``pp``; the fill/drain idleness that concurrency costs is priced
+  explicitly from the ``PIPELINE_BUBBLE`` events the engines emit (idle
+  stage-slots whose units carry the micro-batch size).
+* **Preemption** — a sequence's paged KV is owned per-stage, so swap traffic
+  moves ``1/pp`` of the bytes per owning device concurrently, and recompute
+  re-runs a prefill that itself pipelines over the stages.
+
+Everything else (LM head, predictor, draft, retrieval) stays replicated on a
+single device — those paths are host-loop-bound trinkets next to the layer
+stack, and sharding them would only add collectives.
 """
 
 from __future__ import annotations
@@ -15,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.config import ModelSpec
+from repro.hardware.cluster import ClusterSpec, make_cluster
 from repro.hardware.devices import DeviceSpec, get_device
 from repro.hardware.frameworks import FrameworkProfile, get_framework
 from repro.hardware.ledger import CostLedger, Event
@@ -36,12 +59,14 @@ class LatencyBreakdown:
 
     @property
     def tokens_per_second(self) -> float:
+        """Generated tokens over total seconds."""
         if self.total_s <= 0:
             return float("nan")
         return self.tokens_generated / self.total_s
 
     @property
     def seconds_per_token(self) -> float:
+        """Total seconds over generated tokens."""
         if self.tokens_generated == 0:
             return float("nan")
         return self.total_s / self.tokens_generated
@@ -62,9 +87,22 @@ class LatencyModel:
         device: DeviceSpec | str,
         framework: FrameworkProfile | str,
         cpu_device: DeviceSpec | str | None = None,
+        cluster: ClusterSpec | None = None,
     ):
+        """Build the model for ``cluster`` (default: one ``device``).
+
+        Fails fast when the pipeline has more stages than the model has
+        decoder layers — a stage with no layers would otherwise keep
+        inflating the modelled stage concurrency.
+        """
         self.model = model
         self.device = get_device(device) if isinstance(device, str) else device
+        self.cluster = make_cluster(self.device) if cluster is None else cluster
+        if self.cluster.device != self.device:
+            raise ValueError(
+                f"cluster is built from {self.cluster.device.name!r}, "
+                f"not device {self.device.name!r}")
+        self.cluster.stage_layers(model.n_layers)  # raises if pp > n_layers
         self.framework = get_framework(framework) if isinstance(framework, str) else framework
         if cpu_device is None:
             cpu = None
@@ -79,29 +117,36 @@ class LatencyModel:
 
     # -- primitive op times ---------------------------------------------------
     def layer_weight_bytes(self) -> float:
+        """Weight bytes of one whole (unsharded) decoder layer."""
         return self.model.layer_params * self.framework.weight_bytes_per_param
 
     def layer_flops(self, batch: float = 1.0) -> float:
+        """FLOPs of one whole decoder layer over ``batch`` tokens."""
         return 2.0 * self.model.layer_params * batch
 
     def decoder_layer_time(self, batch: float = 1.0) -> float:
-        """One decoder layer processing ``batch`` decode tokens."""
-        fw, dev = self.framework, self.device
-        gpu_bytes = self.layer_weight_bytes() * fw.gpu_weight_fraction
+        """One tensor-parallel *shard* of a decoder layer over ``batch`` tokens.
+
+        Weight traffic and FLOPs divide ``tp``; dispatch overhead does not
+        (every shard launches its own kernels).
+        """
+        fw, dev, tp = self.framework, self.device, self.cluster.tp
+        gpu_bytes = self.layer_weight_bytes() * fw.gpu_weight_fraction / tp
         mem_t = gpu_bytes / (dev.bytes_per_second * fw.bw_efficiency)
         if self.cpu is not None and fw.gpu_weight_fraction < 1.0:
-            cpu_bytes = self.layer_weight_bytes() * (1.0 - fw.gpu_weight_fraction)
+            cpu_bytes = self.layer_weight_bytes() * (1.0 - fw.gpu_weight_fraction) / tp
             mem_t += cpu_bytes / (self.cpu.bytes_per_second * fw.cpu_bw_efficiency)
         # Batched verify tokens share weight traffic; FLOPs scale with batch.
-        flop_t = self.layer_flops(batch) / (dev.flops_per_second * fw.flop_efficiency)
+        flop_t = self.layer_flops(batch) / tp / (dev.flops_per_second * fw.flop_efficiency)
         extra = (batch - 1.0) * self.framework.batch_flop_share * mem_t
         return max(mem_t + extra, flop_t) + fw.layer_overhead_us * 1e-6
 
     def prefill_layer_time(self, tokens: float) -> float:
-        """One layer over a ``tokens``-long prompt (compute-bound)."""
-        fw, dev = self.framework, self.device
-        flop_t = self.layer_flops(tokens) / (dev.flops_per_second * fw.flop_efficiency)
-        mem_t = self.layer_weight_bytes() / (dev.bytes_per_second * fw.bw_efficiency)
+        """One tensor-parallel shard of a prefill layer over a
+        ``tokens``-long prompt (compute-bound)."""
+        fw, dev, tp = self.framework, self.device, self.cluster.tp
+        flop_t = self.layer_flops(tokens) / tp / (dev.flops_per_second * fw.flop_efficiency)
+        mem_t = self.layer_weight_bytes() / tp / (dev.bytes_per_second * fw.bw_efficiency)
         return max(flop_t, mem_t) + fw.layer_overhead_us * 1e-6
 
     def lm_head_time(self, columns: Optional[int] = None) -> float:
@@ -146,21 +191,24 @@ class LatencyModel:
         """Moving ``tokens`` worth of paged KV across the host link, one way.
 
         Swap traffic is the *real* model's cache — every layer's K and V for
-        each token (fp16, independent of the weight dtype) — DMA'd over PCIe.
+        each token (fp16, independent of the weight dtype) — DMA'd over PCIe,
+        each of the ``pp`` stage devices moving its own ``1/pp`` share
+        concurrently over its host link.
         This is what preemption-by-swap costs; preemption-by-recompute pays
         :meth:`prefill_layer_time` over the context instead.
         """
-        bytes_ = tokens * 2.0 * self.model.n_layers * self.model.kv_heads * self.model.head_dim * 2.0
+        bytes_ = tokens / self.cluster.pp * 2.0 * self.model.n_layers * self.model.kv_heads * self.model.head_dim * 2.0
         return bytes_ / self.device.pcie_bytes_per_second + self.device.kernel_overhead_us * 1e-6
 
     def preempt_costs(self, tokens: float, context_tokens: float) -> Dict[str, float]:
         """Modelled cost of evicting a ``tokens``-long paged sequence whose
         full context is ``context_tokens``: swap pays the link twice (out now,
-        in at resume); recompute pays a prefill pass over the context."""
-        return {
-            "swap": 2.0 * self.kv_swap_time(tokens),
-            "recompute": self.model.n_layers * self.prefill_layer_time(max(context_tokens, 1.0)),
-        }
+        in at resume); recompute pays a prefill pass over the context, which
+        pipelines over the ``pp`` stages."""
+        recompute = (self.model.n_layers
+                     * self.prefill_layer_time(max(context_tokens, 1.0))
+                     / self.cluster.pp)
+        return {"swap": 2.0 * self.kv_swap_time(tokens), "recompute": recompute}
 
     def prefix_reuse_time(self, tokens: float) -> float:
         """Adopting ``tokens`` of already-resident shared-prefix KV.
@@ -199,42 +247,64 @@ class LatencyModel:
         bytes_ = tokens * self.model.hidden_dim * k * 2.0
         return bytes_ / (dev.bytes_per_second * self.framework.bw_efficiency) + dev.kernel_overhead_us * 1e-6
 
+    # -- collective and bubble pricing ---------------------------------------
+    def allreduce_time(self, tokens: float) -> float:
+        """Ring all-reduce of a ``tokens x hidden_dim`` fp16 activation over
+        the TP group: ``2(tp-1)/tp`` of the payload crosses the ``tp_link``,
+        plus ``2(tp-1)`` hop latencies (reduce-scatter then all-gather) —
+        zero at ``tp=1``."""
+        tp, link = self.cluster.tp, self.cluster.tp_link
+        payload = tokens * self.model.hidden_dim * 2.0  # fp16 activations
+        wire = 2.0 * (tp - 1) / tp * payload / link.bytes_per_second
+        hops = 2.0 * (tp - 1) * link.latency_us * 1e-6
+        return wire + hops
+
+    def bubble_slot_time(self, micro_batch_tokens: float) -> float:
+        """One idle pipeline layer-slot: the sharded layer time a waiting
+        stage fails to overlap, plus the micro-batch hand-off across the
+        ``pp_link`` (activation payload + one hop latency)."""
+        link = self.cluster.pp_link
+        handoff = (micro_batch_tokens * self.model.hidden_dim * 2.0
+                   / link.bytes_per_second + link.latency_us * 1e-6)
+        return self.decoder_layer_time(micro_batch_tokens) + handoff
+
     # -- ledger pricing ---------------------------------------------------------
     def price(self, ledger: CostLedger) -> LatencyBreakdown:
-        """Total latency of every event recorded in ``ledger``."""
-        for kind in Event.CLUSTER_ONLY:
-            if ledger.calls(kind):
-                raise ValueError(
-                    f"ledger contains cluster-only event {kind!r}; price it "
-                    "with repro.distributed.ClusterLatencyModel"
-                )
-        return self._price_common(ledger)
+        """Total latency of every event recorded in ``ledger``.
 
-    def _price_common(self, ledger: CostLedger) -> LatencyBreakdown:
-        """Price the single-device event kinds (shared with the cluster model,
-        whose overridden primitives already carry the tensor-parallel scaling)."""
+        The layer primitives are already tp-sharded; on top of that the
+        summed time of each layer-stack event (prefill, decode, batched
+        decode, tree verify) divides by ``pp`` (stages overlap in steady
+        state; bubbles are separate), ``ALLREDUCE`` calls price at
+        :meth:`allreduce_time` of their average token payload and
+        ``PIPELINE_BUBBLE`` slots at :meth:`bubble_slot_time` of their
+        average micro-batch.  A collective on ``tp=1`` or a bubble on
+        ``pp=1`` is refused, so such an event is never silently dropped.
+        """
+        e = Event
+        calls, units = ledger.calls, ledger.units
+        tp, pp = self.cluster.tp, self.cluster.pp
         per: Dict[str, float] = {}
 
         def put(kind: str, seconds: float) -> None:
             if seconds > 0:
                 per[kind] = per.get(kind, 0.0) + seconds
 
-        e = Event
-        calls, units = ledger.calls, ledger.units
         if calls(e.PREFILL_LAYER):
             avg_tokens = units(e.PREFILL_LAYER) / calls(e.PREFILL_LAYER)
-            put(e.PREFILL_LAYER, calls(e.PREFILL_LAYER) * self.prefill_layer_time(avg_tokens))
-        put(e.DECODER_LAYER, calls(e.DECODER_LAYER) * self.decoder_layer_time(1.0))
+            put(e.PREFILL_LAYER,
+                calls(e.PREFILL_LAYER) * self.prefill_layer_time(avg_tokens) / pp)
+        put(e.DECODER_LAYER, calls(e.DECODER_LAYER) * self.decoder_layer_time(1.0) / pp)
         if calls(e.TREE_VERIFY_LAYER):
             avg_batch = units(e.TREE_VERIFY_LAYER) / calls(e.TREE_VERIFY_LAYER)
             put(e.TREE_VERIFY_LAYER,
-                calls(e.TREE_VERIFY_LAYER) * self.decoder_layer_time(avg_batch))
+                calls(e.TREE_VERIFY_LAYER) * self.decoder_layer_time(avg_batch) / pp)
         if calls(e.BATCH_DECODER_LAYER):
             # Continuous-batching decode: one weight pass serves every
             # sequence still alive at that depth (units = batched tokens).
             avg_batch = units(e.BATCH_DECODER_LAYER) / calls(e.BATCH_DECODER_LAYER)
             put(e.BATCH_DECODER_LAYER,
-                calls(e.BATCH_DECODER_LAYER) * self.decoder_layer_time(avg_batch))
+                calls(e.BATCH_DECODER_LAYER) * self.decoder_layer_time(avg_batch) / pp)
         put(e.LM_HEAD_FULL, calls(e.LM_HEAD_FULL) * self.lm_head_time())
         if calls(e.LM_HEAD_SLICE):
             avg_cols = units(e.LM_HEAD_SLICE) / calls(e.LM_HEAD_SLICE)
@@ -256,14 +326,19 @@ class LatencyModel:
             avg_tokens = units(e.TREE_FEATURE_GEMM) / calls(e.TREE_FEATURE_GEMM)
             put(e.TREE_FEATURE_GEMM,
                 calls(e.TREE_FEATURE_GEMM) * self.grouped_gemm_time(avg_tokens))
-        total = sum(per.values()) + self._host_overhead_s(ledger)
+        for kind, degree, slot_time in (
+                (e.ALLREDUCE, tp, self.allreduce_time),
+                (e.PIPELINE_BUBBLE, pp, self.bubble_slot_time)):
+            if calls(kind):
+                if degree == 1:
+                    raise ValueError(
+                        f"ledger contains cluster-only event {kind!r}, which "
+                        f"a tp={tp} pp={pp} cluster cannot emit")
+                put(kind, calls(kind) * slot_time(units(kind) / calls(kind)))
+        # Host-loop overhead accrues per decode step — once per token in
+        # autoregressive mode, once per verify iteration in tree mode.
+        steps = ledger.steps if ledger.steps else ledger.tokens_generated
+        total = sum(per.values()) + steps * self.framework.token_overhead_us * 1e-6
         return LatencyBreakdown(
             total_s=total, per_event_s=per, tokens_generated=ledger.tokens_generated
         )
-
-    def _host_overhead_s(self, ledger: CostLedger) -> float:
-        """Host-loop overhead: accrues per decode step — once per token in
-        autoregressive mode, once per verify iteration in tree mode.  The
-        single definition both the single-device and cluster totals use."""
-        steps = ledger.steps if ledger.steps else ledger.tokens_generated
-        return steps * self.framework.token_overhead_us * 1e-6

@@ -43,9 +43,6 @@ class Event:
         TREE_VERIFY_LAYER, TREE_FEATURE_GEMM, RETRIEVAL, KV_FILL, KV_SWAP,
         PREFIX_REUSE, ALLREDUCE, PIPELINE_BUBBLE,
     )
-    # Events only a multi-device cluster can emit or price; the single-device
-    # LatencyModel refuses them so they are never silently dropped.
-    CLUSTER_ONLY = (ALLREDUCE, PIPELINE_BUBBLE)
 
 
 @dataclass

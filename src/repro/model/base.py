@@ -52,17 +52,19 @@ class LayeredLM(abc.ABC):
 
     Besides the scalar per-sequence interface, the class defines a *batched
     decode* surface (``begin_step_batch`` / ``layer_forward_batch`` /
-    ``lm_head_full_batch`` / ``commit_batch`` / ``step_batch``) that advances
-    many sequences one layer at a time, so per-sequence early exits shrink
-    the batch mid-stack.  The default implementations fall back to the scalar
-    methods (correct for every backend); backends that can run genuinely
-    batched math set ``supports_batched_decode = True`` and override them —
-    see :class:`~repro.model.transformer_backend.TransformerLayeredLM`.
+    ``lm_head_full_batch`` / ``lm_head_slice_batch`` / ``commit_batch``,
+    driven by ``step_batch``) that advances many sequences one layer at a
+    time, so per-sequence early exits shrink the batch mid-stack.  The five
+    primitives have no scalar fallback: they are implemented by backends
+    that set ``supports_batched_decode = True`` (see
+    :class:`~repro.model.transformer_backend.TransformerLayeredLM`); every
+    other backend is driven through the scalar interface —
+    :meth:`SpecEEEngine.step_batch <repro.core.engine.SpecEEEngine.step_batch>`
+    loops :meth:`~repro.core.engine.SpecEEEngine.step` for them.
     """
 
-    #: Whether the batched-decode overrides run real [B, dim] math (True) or
-    #: the scalar fallbacks (False).  Serving uses this to pick the wall-clock
-    #: fast path.
+    #: Whether the backend implements the batched-decode primitives with real
+    #: [B, dim] math.  Serving uses this to pick the wall-clock fast path.
     supports_batched_decode: bool = False
 
     #: Context limit: the most tokens (prompt plus generated) one sequence may
@@ -127,16 +129,10 @@ class LayeredLM(abc.ABC):
         """Accept ``token`` as the step's output, generated at ``exit_layer``."""
 
     # -- batched decode ------------------------------------------------------
-    def begin_step_batch(self, states: Sequence[LMState]) -> Optional[np.ndarray]:
-        """Prepare every state for its next token.
-
-        Returns the ``[B, hidden]`` batch of current activations when the
-        backend runs genuinely batched math, else ``None`` (the scalar
-        fallback keeps activations inside each state).
-        """
-        for state in states:
-            self.begin_step(state)
-        return None
+    def begin_step_batch(self, states: Sequence[LMState]) -> np.ndarray:
+        """Prepare every state for its next token; returns the ``[B, hidden]``
+        batch of current activations."""
+        raise NotImplementedError
 
     def layer_forward_batch(
         self,
@@ -146,36 +142,21 @@ class LayeredLM(abc.ABC):
     ) -> np.ndarray:
         """Run decoder layer ``layer`` for every state; returns ``[B, hidden]``.
 
-        ``hidden`` is the batch returned by the previous call (ignored by the
-        scalar fallback, which reads each state's own activation).  Callers
+        ``hidden`` is the batch returned by the previous call.  Callers
         shrink ``states`` between layers as sequences exit early — that is
-        the SpecEE layer-skip shape, and for batched backends it shrinks the
-        GEMMs accordingly.
+        the SpecEE layer-skip shape, and it shrinks the GEMMs accordingly.
         """
-        return np.stack([self.layer_forward(state, layer) for state in states])
+        raise NotImplementedError
 
     def lm_head_full_batch(self, hidden: np.ndarray) -> np.ndarray:
-        """Full-vocabulary logits for a ``[B, hidden]`` batch.
-
-        Tries one :meth:`lm_head_full` call over the whole batch — a single
-        GEMM for heads that broadcast over a leading batch axis — and only
-        falls back to per-row projection for backends whose head cannot.
-        """
-        hidden = np.asarray(hidden)
-        try:
-            logits = np.asarray(self.lm_head_full(hidden))
-        except Exception:
-            logits = None
-        if logits is not None and logits.shape == (hidden.shape[0], self.vocab_size):
-            return logits
-        return np.stack([self.lm_head_full(h) for h in hidden])
+        """Full-vocabulary logits for a ``[B, hidden]`` batch (one GEMM)."""
+        raise NotImplementedError
 
     def lm_head_slice_batch(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
         """Sliced logits ``[B, len(token_ids)]`` for a ``[B, hidden]`` batch
-        over one shared candidate set — the batched speculative LM head.
-        Batched backends override this with a single ``[B, dim] x [dim, k]``
-        GEMM; the default loops per row."""
-        return np.stack([self.lm_head_slice(h, token_ids) for h in hidden])
+        over one shared candidate set — the batched speculative LM head, a
+        single ``[B, dim] x [dim, k]`` GEMM."""
+        raise NotImplementedError
 
     def commit_batch(
         self,
@@ -184,8 +165,7 @@ class LayeredLM(abc.ABC):
         exit_layers: Sequence[int],
     ) -> None:
         """Accept one token per state (each possibly decided mid-depth)."""
-        for state, token, exit_layer in zip(states, tokens, exit_layers):
-            self.commit(state, int(token), int(exit_layer))
+        raise NotImplementedError
 
     def step_batch(
         self, states: Sequence[LMState], exit_layers: Sequence[int]
@@ -210,15 +190,11 @@ class LayeredLM(abc.ABC):
             if not 0 <= e < self.n_layers:
                 raise ValueError(f"exit layer {e} outside [0, {self.n_layers})")
         b = len(states)
-        batch = self.begin_step_batch(states)
-        hidden: Optional[np.ndarray] = batch
+        hidden = self.begin_step_batch(states)
         for layer in range(max(exits) + 1):
             idx = [i for i in range(b) if exits[i] >= layer]
-            sub = None if hidden is None else hidden[idx]
-            new = self.layer_forward_batch([states[i] for i in idx], layer, sub)
-            if hidden is None:
-                hidden = np.zeros((b, new.shape[-1]))
-            hidden[idx] = new
+            hidden[idx] = self.layer_forward_batch(
+                [states[i] for i in idx], layer, hidden[idx])
         logits = self.lm_head_full_batch(hidden)
         tokens = [int(t) for t in np.argmax(logits, axis=-1)]
         self.commit_batch(states, tokens, exits)

@@ -239,13 +239,9 @@ class SyntheticLayeredLM(LayeredLM):
         return self.profile.gain * (self._emb[ids] @ hidden)
 
     def lm_head_full_batch(self, hidden: np.ndarray) -> np.ndarray:
-        """One ``[B, dim] x [dim, vocab]`` GEMM instead of B GEMVs."""
+        """One ``[B, dim] x [dim, vocab]`` GEMM (what batched verification,
+        :func:`~repro.core.verification.verify_exits`, asks of a backend)."""
         return self.profile.gain * (np.asarray(hidden) @ self._emb.T)
-
-    def lm_head_slice_batch(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-        """Batched speculative LM head: one GEMM over the candidate columns."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        return self.profile.gain * (np.asarray(hidden) @ self._emb[ids].T)
 
     def commit(self, state: SyntheticState, token: int, exit_layer: int) -> None:
         if state.plan is None:

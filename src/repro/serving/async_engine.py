@@ -46,15 +46,16 @@ Prefill is batched the same way on every backend: a tick's fresh admits go
 through one :meth:`SpecEEEngine.prefill_batch`, which the transformer runs
 as a single ragged pass that streams each layer's weights once.
 
-Passing a :class:`~repro.distributed.ClusterSpec` runs the same trace on a
-modelled ``tp x pp`` cluster: ticks are priced by
-:class:`~repro.distributed.ClusterLatencyModel` (tensor-parallel layer
-shards plus ``ALLREDUCE`` collectives, pipeline-stage concurrency plus
-``PIPELINE_BUBBLE`` idleness) and preemption costs are re-priced per owning
-device; the paged pool stays one :class:`PagedKVCache` (every stage device's
-pool — stages see identical traffic, so their allocators never differ).
-The modelled clock moves differently, so admission/preemption *timing* may
-differ from the single-device run — but per-request tokens never do.
+Every engine runs on a modelled ``tp x pp``
+:class:`~repro.distributed.ClusterSpec` (one device is the 1x1 default):
+ticks are priced by :class:`~repro.hardware.latency.LatencyModel`
+(tensor-parallel layer shards plus ``ALLREDUCE`` collectives, pipeline-stage
+concurrency plus ``PIPELINE_BUBBLE`` idleness) and preemption costs are
+priced per owning device; the paged pool stays one :class:`PagedKVCache`
+(every stage device's pool — stages see identical traffic, so their
+allocators never differ).  The modelled clock moves with the shape, so
+admission/preemption *timing* may differ between shapes — but per-request
+tokens never do.
 
 Two orthogonal extension points sit on top of that machinery:
 
@@ -83,8 +84,12 @@ import numpy as np
 
 from repro.config import ModelSpec, get_model_spec
 from repro.core.engine import GenerationResult, SpecEEEngine
-from repro.core.scheduling import Scheduler, make_scheduler
+from repro.core.scheduling import FixedSetScheduler, Scheduler, make_scheduler
+from repro.distributed.sharding import (
+    record_decode_batches, record_prefill_allreduce, record_tick_bubble,
+)
 from repro.errors import KVCorruptionError
+from repro.hardware.cluster import ClusterSpec
 from repro.hardware.latency import LatencyModel
 from repro.hardware.ledger import CostLedger, Event
 from repro.model.base import LMState
@@ -98,17 +103,17 @@ from repro.serving.scheduler import SchedulingPolicy, make_scheduling_policy
 
 __all__ = [
     "AsyncSequence", "AsyncRequestMetrics", "AsyncServingReport",
-    "AsyncServingEngine", "CrashSalvage", "DENSE_THRESHOLD",
+    "AsyncServingEngine", "CrashSalvage",
     "build_paged_cache", "default_scheduler_factory",
 ]
 
 ADMISSION_MODES = ("optimistic", "reserve")
 PREEMPTION_MODES = ("auto", "swap", "recompute", "never")
 
-#: Exit threshold no predictor probability can reach: forcing it on every
-#: sequence turns a degraded-mode tick into dense full-depth decode, which is
-#: token-identical by the SpecEE verification guarantee.
-DENSE_THRESHOLD = 2.0
+#: The empty predictor schedule every sequence decodes under on a
+#: degraded-mode tick: nothing is sliced, predicted or verified, so the tick
+#: is dense full-depth decode (stateless, hence shared).
+DENSE_SCHEDULE = FixedSetScheduler(())
 
 
 def build_paged_cache(
@@ -445,7 +450,7 @@ class AsyncServingEngine:
         preemption: str = "auto",
         chunk_prefill_tokens: Optional[int] = 32,
         scheduling: Union[str, SchedulingPolicy] = "fifo_priority",
-        cluster=None,
+        cluster: Optional[ClusterSpec] = None,
         batched: Optional[bool] = None,
         control: Union[str, ControlPolicy, SpeculationController, None] = None,
         control_seed: int = 0,
@@ -455,9 +460,9 @@ class AsyncServingEngine:
     ):
         """Build the async server.
 
-        ``cluster`` (a :class:`~repro.distributed.ClusterSpec`) shards the
-        run: ticks are priced by the cluster model instead of the
-        single-``device`` roofline; the paged cache stays one pool of
+        ``cluster`` (a :class:`~repro.distributed.ClusterSpec` of ``device``
+        accelerators; default: the 1x1 cluster) shards the run: ticks are
+        priced for its ``tp x pp`` shape; the paged cache stays one pool of
         ``kv_blocks`` blocks, which is each stage device's pool (see
         :func:`build_paged_cache`).
         ``scheduling`` picks the :class:`SchedulingPolicy` that orders
@@ -505,14 +510,8 @@ class AsyncServingEngine:
         self.engine = engine
         if isinstance(model_spec, str):
             model_spec = get_model_spec(model_spec)
-        self.cluster = cluster if cluster is not None and not cluster.is_single else None
-        if self.cluster is not None:
-            from repro.distributed.latency import ClusterLatencyModel
-
-            self.latency: LatencyModel = ClusterLatencyModel(
-                model_spec, self.cluster, framework)
-        else:
-            self.latency = LatencyModel(model_spec, device, framework)
+        self.latency = LatencyModel(model_spec, device, framework, cluster=cluster)
+        self.cluster = self.latency.cluster
         self.prefix_share = bool(prefix_share)
         self.cache = build_paged_cache(engine, kv_blocks, block_size,
                                        self.prefix_share)
@@ -541,9 +540,12 @@ class AsyncServingEngine:
         # full-depth token time, replaced by the run's observed tick time
         # once ticks exist (see _service_estimate_s).
         self._per_token_s = self.latency.full_depth_token_time()
-        self._service_s = self._per_token_s
-        # -- per-run state (reset by begin()) --
-        self.pending: List[Request] = []  # sorted by arrival, not yet visible
+        self._reset_run([])
+
+    def _reset_run(self, pending: List[Request]) -> None:
+        """Every piece of per-run state, spelled once for ``__init__`` and
+        :meth:`begin`."""
+        self.pending = pending  # sorted by arrival, not yet visible
         self.waiting: List[Request] = []  # arrived, not yet admitted
         self.running: List[AsyncSequence] = []
         self.preempted: List[AsyncSequence] = []
@@ -558,6 +560,7 @@ class AsyncServingEngine:
         self._salvage: Dict[int, AsyncSequence] = {}
         self._prompt_tokens = 0
         self._wall_start = time.perf_counter()
+        self._service_s = self._per_token_s
 
     # -- tick phases ---------------------------------------------------------
     def _service_estimate_s(self) -> float:
@@ -855,26 +858,25 @@ class AsyncServingEngine:
         if self.controller is not None and runnable:
             exit_ths, draft_ls = self.controller.overrides(
                 [slot.request_id for slot in runnable])
-        if self.degraded and runnable:
-            # Kill-switch engaged: force dense full-depth decode (no
-            # predictor probability can reach DENSE_THRESHOLD) and minimal
-            # drafts, overriding any controller actuation.
-            exit_ths = [DENSE_THRESHOLD] * len(runnable)
-            draft_ls = [1] * len(runnable)
+        # Kill-switch engaged: every sequence decodes under the empty
+        # schedule (dense full depth), whatever the controller actuates.
+        schedulers = [DENSE_SCHEDULE if self.degraded else slot.scheduler
+                      for slot in runnable]
         if self.batched:
             records = self.engine.step_batch(
                 [slot.state for slot in runnable],
                 [slot.result for slot in runnable],
-                [slot.scheduler for slot in runnable], capture_hidden=True,
+                schedulers, capture_hidden=True,
                 exit_thresholds=exit_ths, draft_lens=draft_ls)
         else:
             ths = exit_ths if exit_ths is not None else [None] * len(runnable)
             lens = draft_ls if draft_ls is not None else [None] * len(runnable)
             records = [self.engine.step(slot.state, slot.result,
-                                        scheduler=slot.scheduler,
+                                        scheduler=sched,
                                         capture_hidden=True,
                                         exit_threshold=th, draft_len=dl)
-                       for slot, th, dl in zip(runnable, ths, lens)]
+                       for slot, sched, th, dl
+                       in zip(runnable, schedulers, ths, lens)]
         for slot, before, record in zip(runnable, befores, records):
             delta = slot.result.ledger.delta_since(before)
             dropped_layers += delta.calls(Event.DECODER_LAYER)
@@ -892,8 +894,6 @@ class AsyncServingEngine:
                     f"batched layer-tokens {sum(batches)} != per-sequence layer "
                     f"calls {dropped_layers}"
                 )
-            from repro.distributed.sharding import record_decode_batches
-
             record_decode_batches(tick, batches, self.cluster)
         return depths
 
@@ -903,10 +903,6 @@ class AsyncServingEngine:
         tick's prefill-layer work (chunks and recompute resumes alike) and the
         pipeline fill/drain bubble sized by the tick's deepest executed layer
         and average micro-batch."""
-        from repro.distributed.sharding import (
-            record_prefill_allreduce, record_tick_bubble,
-        )
-
         record_prefill_allreduce(
             tick, tick.calls(Event.PREFILL_LAYER), tick.units(Event.PREFILL_LAYER),
             self.cluster,
@@ -1081,18 +1077,7 @@ class AsyncServingEngine:
                     f"request id {request.request_id} appears more than once "
                     "in the trace")
             seen.add(request.request_id)
-        self.pending = sorted(trace, key=lambda r: (r.arrival_s, r.request_id))
-        self.report = AsyncServingReport()
-        self.waiting, self.running, self.preempted = [], [], []
-        self.reserved_blocks, self.step_count, self.now_s = 0, 0, 0.0
-        self.dead = False
-        self.degraded = False
-        self._anomaly_streak = 0
-        self._clean_streak = 0
-        self._salvage = {}
-        self._prompt_tokens = 0
-        self._wall_start = time.perf_counter()
-        self._service_s = self._per_token_s
+        self._reset_run(sorted(trace, key=lambda r: (r.arrival_s, r.request_id)))
         if self.controller is not None:
             self.controller.begin()
         self.scheduling.reset()
@@ -1177,8 +1162,7 @@ class AsyncServingEngine:
         finished = self._retire(report)
         self._watchdog_sweep()
 
-        if self.cluster is not None:
-            self._record_sharded_events(tick, depths)
+        self._record_sharded_events(tick, depths)
         tick.steps = 1
         dt = self.latency.price(tick).total_s
         if self.faults is not None:

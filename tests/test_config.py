@@ -52,8 +52,6 @@ class TestSpecEEConfig:
     def test_defaults_match_paper(self):
         cfg = SpecEEConfig()
         assert cfg.num_speculative == 4
-        assert cfg.predictor_hidden == 512
-        assert cfg.predictor_layers == 2
         assert cfg.exit_threshold == 0.5
         assert cfg.context_window == 5
         assert cfg.layer_vicinity == 2

@@ -71,6 +71,18 @@ class TestSpecEESpeculative:
         assert r_se.tokens == r_eagle.tokens
         assert (r_se.ledger.calls(Event.TREE_VERIFY_LAYER)
                 == r_eagle.ledger.calls(Event.TREE_VERIFY_LAYER))
+        # Since ISSUE 24 both sides are one class, so equality alone proves
+        # nothing: this is EagleEngine's ledger for the prompt as measured on
+        # the commit that still had its own copy of the tree loop.
+        assert list(r_eagle.ledger.as_dict().items()) == [
+            ("prefill_layer", {"calls": 32.0, "units": 96.0}),
+            ("draft_step", {"calls": 68.0, "units": 68.0}),
+            ("tree_verify_layer", {"calls": 544.0, "units": 5984.0}),
+            ("lm_head_full", {"calls": 187.0, "units": 187.0}),
+        ]
+        assert (r_eagle.ledger.tokens_generated, r_eagle.ledger.steps) == (61, 17)
+        assert not any(it.early_exit or it.predictor_evals
+                       for it in r_eagle.iterations)
 
     def test_tokens_match_eagle_prefix_until_divergence(self, stack):
         """Early-exited acceptance must agree with EAGLE's until the first

@@ -269,7 +269,8 @@ class TestPolicyDocs:
 
 
 class TestPublicDocstrings:
-    PACKAGES = ("src/repro/serving", "src/repro/distributed")
+    PACKAGES = ("src/repro/serving", "src/repro/distributed",
+                "src/repro/hardware/cluster.py", "src/repro/hardware/latency.py")
 
     @staticmethod
     def _missing_in(path):
@@ -298,10 +299,12 @@ class TestPublicDocstrings:
     @pytest.mark.parametrize("package", PACKAGES)
     def test_public_api_has_docstrings(self, package):
         """Module, public classes and public functions/methods (including
-        __init__/__post_init__) of the serving and distributed packages must
-        carry docstrings — the same contract the CI pydocstyle job enforces."""
+        __init__/__post_init__) of the serving and distributed packages and
+        the cluster topology + roofline modules must carry docstrings — the
+        same contract the CI pydocstyle job enforces."""
+        target = REPO / package
         missing = []
-        for path in sorted((REPO / package).glob("*.py")):
+        for path in [target] if target.is_file() else sorted(target.glob("*.py")):
             missing.extend(self._missing_in(path))
         assert not missing, "missing docstrings:\n  " + "\n  ".join(missing)
 

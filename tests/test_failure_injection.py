@@ -291,6 +291,44 @@ class TestEngineFaults:
         assert not engine.degraded  # re-armed before the run drained
         assert len(report.results) == 8
 
+    def test_degraded_ticks_decode_under_the_empty_schedule(self, rig):
+        """Degraded decode is dense decode: the serving ledger's
+        speculative-head slices and predictor forwards grow only on
+        non-degraded ticks, and a run degraded from its first decode tick
+        emits exactly the full-depth engine's tokens."""
+        def engine_under(anomaly_s):
+            view = FaultInjector(f"anomaly@0.0:replica=0,duration={anomaly_s}",
+                                 1, seed=5).view(0)
+            return rig.async_serving_engine(**FLEET_KWARGS, faults=view)
+
+        engine = engine_under(0.15)
+        trace = list(poisson_trace(
+            8, 40.0, rig.model.vocab_size, seed=3, slo_scale=None,
+            per_token_s=engine.latency.full_depth_token_time()))
+        engine.begin(list(trace))
+        ledger = engine.report.serving_ledger
+        kinds = (Event.LM_HEAD_SLICE, Event.PREDICTOR, Event.BATCH_DECODER_LAYER)
+        grown = {True: np.zeros(3), False: np.zeros(3)}  # by engine.degraded
+        while engine.has_work:
+            before = np.array([ledger.calls(kind) for kind in kinds])
+            engine.advance_tick()
+            # The kill-switch only moves before a tick's decode, so the flag
+            # after the tick is the one its decode ran under.
+            grown[engine.degraded] += [ledger.calls(kind) for kind in kinds] - before
+        assert engine.finish_report().degraded_ticks > 0
+        slices, predictors, layers = grown[True]
+        assert (slices, predictors) == (0, 0) and layers > 0
+        assert grown[False].min() > 0
+
+        always = engine_under(60.0)
+        always.anomaly_detect_ticks = 1  # trips before the first decode
+        report = always.run(list(trace))
+        assert report.serving_ledger.calls(Event.PREDICTOR) == 0
+        for request in trace:
+            dense = DenseEngine(rig.fresh_model()).generate(
+                request.prompt, request.max_new_tokens)
+            assert list(report.results[request.request_id].tokens) == list(dense.tokens)
+
     def test_slowdown_stretches_makespan_but_not_tokens(self, rig):
         """Transient slowdowns reprice ticks; they must never change what
         gets decoded."""

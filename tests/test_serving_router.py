@@ -111,14 +111,14 @@ class TestTokenIdentity:
         repartitions cost, never computation)."""
         fleet = rig.router_fleet(
             2, route="round_robin",
-            cluster_factory=lambda: make_cluster("a100-80g", tp=2),
+            cluster=make_cluster("a100-80g", tp=2),
             **FLEET_KWARGS)
         report = fleet.run(trace)
         for request in trace:
             assert (report.results[request.request_id].tokens
                     == single_report.results[request.request_id].tokens)
         for replica in fleet.replicas:
-            assert replica.cluster is not None and replica.cluster.tp == 2
+            assert replica.cluster.tp == 2
 
 
 # ---------------------------------------------------------------------------

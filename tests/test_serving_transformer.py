@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import SpecEEConfig
-from repro.distributed.cluster import make_cluster
+from repro.distributed import make_cluster
 from repro.hardware.ledger import Event
 from repro.eval.harness import build_transformer_rig
 from repro.nn.attention import KVCache
