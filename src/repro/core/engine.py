@@ -414,8 +414,9 @@ class SpecEEEngine:
             pad = np.arange(k)[None, :] >= d_arr[idxs][:, None]
             if pad.any():
                 # Padded columns gathered token-0's (real) logit, so the row
-                # min equals the min over the real columns.
-                floor = local.min(axis=1, keepdims=True) - DRAFT_PAD_MARGIN
+                # min equals the min over the real columns; the floor is taken
+                # in float64 like the scalar path's, whatever the head's dtype.
+                floor = local.min(axis=1, keepdims=True).astype(np.float64) - DRAFT_PAD_MARGIN
                 local = np.where(pad, floor, local)
             feats, probs = FeatureExtractor.extract_rows(
                 local, last_probs[idxs], has_last[idxs])

@@ -5,11 +5,9 @@ from repro.eval.harness import (
     Rig,
     build_rig,
     make_model,
-    run_classification,
-    run_generation,
     run_items,
 )
-from repro.eval.metrics import accuracy_percent, geomean_speedup, normalized_layers
+from repro.eval.metrics import accuracy_percent, normalized_layers
 from repro.eval.reporting import ExperimentResult
 from repro.eval.speedup import priced_run, speedup_table
 
@@ -19,12 +17,9 @@ __all__ = [
     "Rig",
     "accuracy_percent",
     "build_rig",
-    "geomean_speedup",
     "make_model",
     "normalized_layers",
     "priced_run",
-    "run_classification",
-    "run_generation",
     "run_items",
     "speedup_table",
 ]

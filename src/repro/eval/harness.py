@@ -32,8 +32,7 @@ from repro.model.synthetic import SyntheticLayeredLM
 
 __all__ = [
     "Rig", "EvalRun", "build_rig", "build_trained_transformer_rig",
-    "build_transformer_rig", "make_model", "run_items", "run_classification",
-    "run_generation", "trained_assets",
+    "build_transformer_rig", "make_model", "run_items", "trained_assets",
 ]
 
 _DEFAULT_SIM = SimDims()
@@ -508,15 +507,3 @@ def _theoretical_layers(result: GenerationResult, n_layers: Optional[int]) -> Li
         else:
             out.append(float(n_layers))
     return out
-
-
-def run_classification(engine_factory, spec, items, **kwargs) -> EvalRun:
-    if spec.kind != "classification":
-        raise ValueError(f"{spec.name} is not a classification dataset")
-    return run_items(engine_factory, spec, items, **kwargs)
-
-
-def run_generation(engine_factory, spec, items, **kwargs) -> EvalRun:
-    if spec.kind != "generation":
-        raise ValueError(f"{spec.name} is not a generation dataset")
-    return run_items(engine_factory, spec, items, **kwargs)

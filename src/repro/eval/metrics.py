@@ -6,13 +6,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.mathx import geometric_mean
-
 __all__ = [
     "accuracy_percent",
     "perplexity_from_logprobs",
     "normalized_layers",
-    "geomean_speedup",
     "answer_matches",
 ]
 
@@ -42,7 +39,3 @@ def normalized_layers(theoretical_avg: float, actual_avg: float) -> float:
     if actual_avg <= 0:
         return float("nan")
     return 100.0 * theoretical_avg / actual_avg
-
-
-def geomean_speedup(speedups: Sequence[float]) -> float:
-    return geometric_mean(speedups)

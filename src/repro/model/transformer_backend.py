@@ -79,7 +79,8 @@ class TransformerLayeredLM(LayeredLM):
             self.cfg = cfg or TransformerConfig()
             self.lm = TinyTransformerLM(self.cfg, seed=seed)
         self.kv_fill = kv_fill
-        self.max_tokens = max_tokens
+        # The declared context limit: no cache may outgrow the rotary table.
+        self.max_tokens = min(max_tokens, self.cfg.max_positions)
 
     @property
     def n_layers(self) -> int:

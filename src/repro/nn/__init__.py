@@ -1,23 +1,7 @@
 """Numpy neural-network substrate.
 
-Forward-only layers power the inference-path transformer backend; the minimal
-reverse-mode autodiff engine (:mod:`repro.nn.autograd`) powers the trainable
-components (tiny transformer LM example, predictor reference trainer).
+Forward-only layers power the float32 inference-path transformer backend
+(``attention.INFERENCE_DTYPE``); the minimal reverse-mode autodiff engine
+(:mod:`repro.nn.autograd`) powers the float64 trainable components (tiny
+transformer LM example, predictor reference trainer).
 """
-
-from repro.nn.autograd import Tensor, no_grad
-from repro.nn.layers import Embedding, Linear, RMSNorm, SwiGLU
-from repro.nn.mlp import MLPClassifier
-from repro.nn.optim import SGD, Adam
-
-__all__ = [
-    "Adam",
-    "Embedding",
-    "Linear",
-    "MLPClassifier",
-    "RMSNorm",
-    "SGD",
-    "SwiGLU",
-    "Tensor",
-    "no_grad",
-]

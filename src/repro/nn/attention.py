@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Optional, Sequence, Tuple
 
@@ -11,7 +12,12 @@ from repro.errors import KVCorruptionError
 from repro.nn.rope import RotaryEmbedding, apply_rope
 from repro.utils.mathx import softmax
 
-__all__ = ["KVCache", "CausalSelfAttention"]
+__all__ = ["INFERENCE_DTYPE", "KVCache", "CausalSelfAttention"]
+
+#: The one dtype the inference stack computes and stores in: weights (cast
+#: by ``TinyTransformerLM.refresh_stacked_weights``), activations and every
+#: :class:`KVCache`.  Training and the reference paths stay float64.
+INFERENCE_DTYPE = np.float32
 
 
 class KVCache:
@@ -42,10 +48,17 @@ class KVCache:
         self.head_dim = head_dim
         self.max_tokens = max_tokens
         self._initial = min(max_tokens, initial_tokens)
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty the cache back to its initial allocation."""
         self._capacity = self._initial
-        self._k = np.zeros((n_layers, n_kv_heads, self._capacity, head_dim))
-        self._v = np.zeros((n_layers, n_kv_heads, self._capacity, head_dim))
-        self._lengths = np.zeros(n_layers, dtype=np.int64)
+        self._k, self._v = self._alloc(self._capacity)
+        self._lengths = np.zeros(self.n_layers, dtype=np.int64)
+
+    def _alloc(self, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+        shape = (self.n_layers, self.n_kv_heads, capacity, self.head_dim)
+        return np.zeros(shape, INFERENCE_DTYPE), np.zeros(shape, INFERENCE_DTYPE)
 
     @property
     def capacity(self) -> int:
@@ -62,8 +75,7 @@ class KVCache:
         while capacity < needed:
             capacity *= 2
         capacity = min(capacity, self.max_tokens)
-        grown_k = np.zeros((self.n_layers, self.n_kv_heads, capacity, self.head_dim))
-        grown_v = np.zeros_like(grown_k)
+        grown_k, grown_v = self._alloc(capacity)
         grown_k[:, :, : self._capacity] = self._k
         grown_v[:, :, : self._capacity] = self._v
         self._k, self._v, self._capacity = grown_k, grown_v, capacity
@@ -128,10 +140,7 @@ class KVCache:
             "lengths": self._lengths.copy(),
         }
         blob["crc"] = self._blob_checksum(blob)
-        self._capacity = self._initial
-        self._k = np.zeros((self.n_layers, self.n_kv_heads, self._capacity, self.head_dim))
-        self._v = np.zeros_like(self._k)
-        self._lengths = np.zeros(self.n_layers, dtype=np.int64)
+        self._reset()
         return blob
 
     @staticmethod
@@ -273,7 +282,8 @@ class CausalSelfAttention:
         keys_q = np.repeat(keys, self.group, axis=0)
         values_q = np.repeat(values, self.group, axis=0)
 
-        scores = q @ keys_q.transpose(0, 2, 1) / np.sqrt(self.head_dim)  # [H, t, total]
+        # A Python-float divisor: a NumPy scalar would promote float32 to float64.
+        scores = q @ keys_q.transpose(0, 2, 1) / math.sqrt(self.head_dim)  # [H, t, total]
         # Row i (new position prefix_len + i) may attend to keys [0 .. prefix+i].
         key_idx = np.arange(total)[None, :]
         query_idx = (prefix_len + np.arange(t))[:, None]
@@ -319,8 +329,8 @@ class CausalSelfAttention:
             cache.append(layer, k[i][:, None, :], v[i][:, None, :])
             groups.setdefault(cache.length(layer), []).append(i)
 
-        sqrt_hd = np.sqrt(self.head_dim)
-        ctx = np.empty((b, self.n_heads * self.head_dim))
+        sqrt_hd = math.sqrt(self.head_dim)
+        ctx = np.empty((b, q_dim), dtype=qkv.dtype)
         for total, idx in groups.items():
             if len(idx) == 1:
                 i = idx[0]

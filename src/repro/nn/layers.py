@@ -7,7 +7,7 @@ the inference path where no gradients are needed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class Linear(Module):
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
-        self._w_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __call__(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -59,23 +58,8 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def inference_weight(self) -> np.ndarray:
-        """C-contiguous ``[in, out]`` weight for the gradient-free path.
-
-        Cached until ``weight.data`` is rebound (an optimizer step that
-        replaces the array invalidates it); when the parameter is already
-        contiguous the cache is the parameter itself, so in-place updates
-        stay visible.  This keeps BLAS from doing an implicit pack/transpose
-        copy on every inference call.
-        """
-        data = self.weight.data
-        cache = self._w_cache
-        if cache is None or cache[0] is not data:
-            self._w_cache = (data, np.ascontiguousarray(data))
-        return self._w_cache[1]
-
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.inference_weight()
+        out = x @ self.weight.data
         if self.bias is not None:
             out = out + self.bias.data
         return out

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.mathx import as_float
+
 __all__ = ["RotaryEmbedding", "apply_rope"]
 
 
@@ -41,8 +43,9 @@ def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     cos, sin : [T, head_dim/2] tables for the absolute positions of the T steps.
 
     The rotation is norm-preserving per pair, a property the tests verify.
+    A floating ``x`` keeps its dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     x_even = x[..., 0::2]
     x_odd = x[..., 1::2]
     out = np.empty_like(x)

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.attention import CausalSelfAttention, KVCache
+from repro.nn.attention import INFERENCE_DTYPE, CausalSelfAttention, KVCache
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Embedding, Linear, Module, RMSNorm, SwiGLU
 from repro.nn.rope import RotaryEmbedding, apply_rope
@@ -72,6 +72,12 @@ class TransformerConfig:
             raise ValueError("dim must be divisible by n_heads")
 
 
+def _cast(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-contiguous :data:`INFERENCE_DTYPE` array — ``a`` itself
+    when it already is one."""
+    return np.ascontiguousarray(a, dtype=INFERENCE_DTYPE)
+
+
 class _DecoderLayer:
     """Forward-only decoder layer: pre-norm attention + pre-norm SwiGLU."""
 
@@ -83,6 +89,18 @@ class _DecoderLayer:
         )
         self.ffn_norm = RMSNorm(cfg.dim)
         self.ffn = SwiGLU(cfg.dim, cfg.intermediate_dim, rng)
+        # Cast as built: the stack never holds all its layers in float64.
+        self.cast_weights()
+
+    def cast_weights(self) -> None:
+        """Hold every weight, the stacked QKV and the RoPE tables as
+        :data:`INFERENCE_DTYPE` arrays (see :func:`_cast`)."""
+        attn = self.attn
+        attn.wq, attn.wk, attn.wv, attn.wo, attn.wqkv = map(
+            _cast, (attn.wq, attn.wk, attn.wv, attn.wo, attn.wqkv))
+        attn.rope.cos, attn.rope.sin = _cast(attn.rope.cos), _cast(attn.rope.sin)
+        for param in (self.attn_norm, self.ffn_norm, self.ffn.gate, self.ffn.up, self.ffn.down):
+            param.weight.data = _cast(param.weight.data)
 
     def forward(
         self, x: np.ndarray, layer: int, cache: KVCache, positions: np.ndarray
@@ -137,9 +155,11 @@ class TinyTransformerLM:
         self.refresh_stacked_weights()
 
     def refresh_stacked_weights(self) -> None:
-        """Rebuild every weight layout derived from another — the one
-        invalidation point, to be called after weights are replaced (the
-        exporter in ``repro.training.export`` does).
+        """Cast every weight to a C-contiguous :data:`INFERENCE_DTYPE` array
+        and rebuild every layout derived from another — the one invalidation
+        point, to be called after weights are replaced (the exporter in
+        ``repro.training.export`` does).  A weight already in that form is
+        kept, not copied, so a second call rebinds no weight.
 
         All layers' stacked QKV projections live in one ``[L, dim, q + 2 kv]``
         array (each layer's ``attn.wqkv`` is its slice, so nothing is stored
@@ -148,9 +168,13 @@ class TinyTransformerLM:
         ``lm_head_rows`` is the LM head transposed to ``[V, dim]`` so the
         speculative slice gathers contiguous rows.
         """
+        self.embedding, self.lm_head_weight = _cast(self.embedding), _cast(self.lm_head_weight)
+        self.final_norm.weight.data = _cast(self.final_norm.weight.data)
+        for block in self.layers:
+            block.cast_weights()
         attns = [block.attn for block in self.layers]
         width = attns[0].wq.shape[1] + 2 * attns[0].wk.shape[1]
-        self._wqkv = np.empty((len(attns), self.cfg.dim, width))
+        self._wqkv = np.empty((len(attns), self.cfg.dim, width), INFERENCE_DTYPE)
         for attn, out in zip(attns, self._wqkv):
             attn.refresh_stacked_weights(out)
         self._attn_gains = np.stack(

@@ -5,14 +5,13 @@
 ``[in, out]`` applied as ``x @ W``) and — by construction of
 :func:`repro.nn.transformer.rope_constants` — the exact rotary arithmetic,
 so the export is a plain weight copy.  The only inference-side bookkeeping
-is :meth:`TinyTransformerLM.refresh_stacked_weights`, which rebuilds the
+is :meth:`TinyTransformerLM.refresh_stacked_weights`, which casts the
+float64 training weights to the float32 inference dtype and rebuilds the
 derived layouts the decode hot path reads (the stacked QKV projections the
 early-exit KV fill shares, and the transposed LM-head table).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.nn.transformer import TinyTransformerLM, TrainableTransformerLM
 
@@ -31,18 +30,17 @@ def export_inference_lm(trained: TrainableTransformerLM) -> TinyTransformerLM:
             "export requires a rope=True TrainableTransformerLM; the "
             "learned-position variant does not match the inference stack")
     lm = TinyTransformerLM(trained.cfg, seed=0)
-    lm.embedding = trained.token_emb.weight.data.copy()
+    # The trained float64 arrays are bound as they are: the refresh below
+    # casts each to the inference dtype, and that cast is the copy.
+    lm.embedding = trained.token_emb.weight.data
+    lm.lm_head_weight = trained.lm_head.weight.data
+    lm.final_norm.weight.data = trained.final_norm.weight.data
     for src, dst in zip(trained.layers, lm.layers):
-        np.copyto(dst.attn_norm.weight.data, src.attn_norm.weight.data)
-        dst.attn.wq = src.wq.weight.data.copy()
-        dst.attn.wk = src.wk.weight.data.copy()
-        dst.attn.wv = src.wv.weight.data.copy()
-        dst.attn.wo = src.wo.weight.data.copy()
-        np.copyto(dst.ffn_norm.weight.data, src.ffn_norm.weight.data)
+        dst.attn.wq, dst.attn.wk, dst.attn.wv, dst.attn.wo = (
+            src.wq.weight.data, src.wk.weight.data, src.wv.weight.data, src.wo.weight.data)
+        dst.attn_norm.weight.data = src.attn_norm.weight.data
+        dst.ffn_norm.weight.data = src.ffn_norm.weight.data
         for name in ("gate", "up", "down"):
-            getattr(dst.ffn, name).weight.data = (
-                getattr(src.ffn, name).weight.data.copy())
-    np.copyto(lm.final_norm.weight.data, trained.final_norm.weight.data)
-    lm.lm_head_weight = trained.lm_head.weight.data.copy()
+            getattr(dst.ffn, name).weight.data = getattr(src.ffn, name).weight.data
     lm.refresh_stacked_weights()
     return lm

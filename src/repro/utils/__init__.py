@@ -1,23 +1,1 @@
 """Shared utilities: seeded RNG streams, stable math, containers, reporting."""
-
-from repro.utils.mathx import (
-    geometric_mean,
-    log_softmax,
-    logsumexp,
-    sigmoid,
-    softmax,
-)
-from repro.utils.ring import CircularQueue
-from repro.utils.rng import RngFactory, child_rng, hash_to_uint64
-
-__all__ = [
-    "CircularQueue",
-    "RngFactory",
-    "child_rng",
-    "geometric_mean",
-    "hash_to_uint64",
-    "log_softmax",
-    "logsumexp",
-    "sigmoid",
-    "softmax",
-]

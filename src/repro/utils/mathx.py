@@ -7,6 +7,7 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
+    "as_float",
     "softmax",
     "log_softmax",
     "logsumexp",
@@ -16,9 +17,16 @@ __all__ = [
 ]
 
 
+def as_float(x) -> np.ndarray:
+    """``x`` as an array that keeps a floating dtype — float32 inference
+    stays float32 — and promotes anything else to float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``; rows sum to exactly one."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x)
     shifted = x - np.max(x, axis=axis, keepdims=True)
     exps = np.exp(shifted)
     return exps / np.sum(exps, axis=axis, keepdims=True)

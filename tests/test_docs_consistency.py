@@ -60,6 +60,15 @@ class TestDesignDoc:
             assert f"`{workload['name']}`" in text, (
                 f"{doc} does not mention workload {workload['name']}")
 
+    def test_design_names_the_inference_dtype(self):
+        """The precision policy lives in one constant; DESIGN.md must name it
+        and the dtype it holds."""
+        from repro.nn.attention import INFERENCE_DTYPE
+
+        design = (REPO / "DESIGN.md").read_text()
+        assert "`INFERENCE_DTYPE = np.float32`" in design
+        assert INFERENCE_DTYPE.__name__ == "float32"
+
     def test_experiments_md_covers_all_artifacts(self):
         text = (REPO / "EXPERIMENTS.md").read_text()
         for anchor in ("Fig. 1(a)", "Fig. 5(a)", "Fig. 7", "Fig. 8", "Fig. 10",

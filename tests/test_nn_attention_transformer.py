@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SpecEEConfig
+from repro.core.engine import SpecEEEngine
+from repro.core.predictor import PredictorBank
+from repro.core.scheduling import make_scheduler
+from repro.errors import KVCorruptionError
+from repro.eval.harness import trained_transformer_config
+from repro.model.draft import Speculator
+from repro.model.oracle import NGramOracle
 from repro.model.transformer_backend import TransformerLayeredLM
-from repro.nn.attention import CausalSelfAttention, KVCache
+from repro.nn import attention
+from repro.nn.attention import INFERENCE_DTYPE, CausalSelfAttention, KVCache
 from repro.nn.autograd import cross_entropy
 from repro.nn.optim import Adam
 from repro.nn.transformer import (
@@ -13,6 +22,7 @@ from repro.nn.transformer import (
     TrainableTransformerLM,
     TransformerConfig,
 )
+from repro.utils.mathx import softmax
 
 CFG = TransformerConfig(vocab_size=48, dim=32, n_layers=3, n_heads=4,
                         intermediate_dim=48, max_positions=64)
@@ -291,9 +301,11 @@ class TestFusedKVFill:
 
     def test_refresh_is_the_one_invalidation_point(self):
         """Replacing weights and refreshing — at either level — changes what
-        the fill writes and what the speculative head reads."""
+        the fill writes and what the speculative head reads.  The model-level
+        refresh casts a float64 replacement to the inference dtype, and a
+        second refresh copies and rebinds no weight."""
         lm = TinyTransformerLM(CFG, seed=4)
-        hidden = np.random.default_rng(0).standard_normal((1, CFG.dim))
+        hidden = np.random.default_rng(0).standard_normal((1, CFG.dim)).astype(INFERENCE_DTYPE)
 
         def filled():
             cache = lm.new_cache(4)
@@ -301,11 +313,21 @@ class TestFusedKVFill:
             return [np.array(x) for layer in range(CFG.n_layers)
                     for x in cache.view(layer)]
 
+        def weights():
+            arrays = [lm.embedding, lm.lm_head_weight, lm.final_norm.weight.data]
+            for block in lm.layers:
+                attn, ffn = block.attn, block.ffn
+                arrays += [attn.wq, attn.wk, attn.wv, attn.wo, attn.rope.cos,
+                           attn.rope.sin, block.attn_norm.weight.data,
+                           block.ffn_norm.weight.data, ffn.gate.weight.data,
+                           ffn.up.weight.data, ffn.down.weight.data]
+            return arrays
+
         before = filled()
         rng = np.random.default_rng(1)
         for block in lm.layers:
-            block.attn.wk = rng.standard_normal(block.attn.wk.shape)
-            block.attn.wv = rng.standard_normal(block.attn.wv.shape)
+            block.attn.wk = rng.standard_normal(block.attn.wk.shape).astype(INFERENCE_DTYPE)
+            block.attn.wv = rng.standard_normal(block.attn.wv.shape).astype(INFERENCE_DTYPE)
             block.attn.refresh_stacked_weights()
         after = filled()
         assert not any(np.allclose(a, b) for a, b in zip(before, after))
@@ -313,11 +335,17 @@ class TestFusedKVFill:
         per_layer_kv_fill(lm, hidden, [0], [reference], np.asarray([0]))
         for layer in range(CFG.n_layers):
             for a, b in zip(after[2 * layer:], reference.view(layer)):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
         lm.lm_head_weight = rng.standard_normal(lm.lm_head_weight.shape)
         lm.refresh_stacked_weights()
+        assert all(w.dtype == INFERENCE_DTYPE for w in weights())
         ids = np.array([3, 7, 11])
         assert np.allclose(lm.lm_head_slice(hidden[0], ids), lm.lm_head(hidden[0])[ids])
+        kept, derived = weights(), [np.array(lm._wqkv), np.array(lm.lm_head_rows)]
+        lm.refresh_stacked_weights()
+        assert all(a is b for a, b in zip(weights(), kept))
+        assert np.array_equal(lm._wqkv, derived[0])
+        assert np.array_equal(lm.lm_head_rows, derived[1])
 
 
 class TestRaggedPrefill:
@@ -370,6 +398,73 @@ class TestRaggedPrefill:
             model.start_batch([[1, 2], []])
         with pytest.raises(ValueError, match="scripted"):
             model.start_batch([[1], [2]], [None, [3]])
+
+
+class TestInferenceDtype:
+    """The inference stack computes and stores in ``INFERENCE_DTYPE`` end to
+    end.  One NumPy-scalar divisor (NEP 50 lets it promote an array) or one
+    buffer allocated without a dtype would quietly put the hot path back on
+    float64; this is the guard."""
+
+    EXITY = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1, scheduler="all",
+                         verify_on_exit=False)
+
+    @pytest.mark.parametrize("cfg", [GQA_CFG, trained_transformer_config()],
+                             ids=["gqa", "trained_shapes"])
+    def test_the_hot_path_never_leaves_the_inference_dtype(self, cfg, monkeypatch):
+        dtype = INFERENCE_DTYPE
+        # Every attention score matrix and its softmax, including those a
+        # preallocated output buffer would silently narrow back to float32.
+        scores = []
+
+        def spy(x, axis=-1):
+            out = softmax(x, axis)
+            scores.extend((x.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(attention, "softmax", spy)
+        model = TransformerLayeredLM(cfg, seed=0, max_tokens=64, kv_fill="propagate")
+        lm = model.lm
+        caches = [lm.new_cache(64) for _ in range(2)]
+        assert lm.prefill_ragged([[1, 2, 3], [4, 5]], caches).dtype == dtype
+        positions = np.asarray([3, 2])
+        hidden = lm.layer_decode_batch(lm.embed(np.asarray([6, 7])), 0, caches, positions)
+        assert hidden.dtype == dtype
+        lm.kv_fill(hidden, [1, 1], caches, positions)
+        assert lm.lm_head(hidden).dtype == dtype
+        assert lm.lm_head_slice(hidden, np.asarray([1, 2])).dtype == dtype
+
+        engine = SpecEEEngine(
+            model, Speculator(NGramOracle(cfg.vocab_size, seed=1), k=4),
+            PredictorBank(cfg.n_layers, self.EXITY.feature_dim, hidden_dim=16),
+            self.EXITY)
+        states, results = zip(*engine.prefill_batch([[1, 2, 3], [4, 5]]))
+        schedulers = [make_scheduler("all", cfg.n_layers) for _ in states]
+        model.layer_forward_batch(states, 0, model.begin_step_batch(states))
+        assert all(state.hidden.dtype == dtype for state in states)
+        model.commit_batch(states, [1, 2], [0, 0])  # an exit at layer 0: kv_fill
+        for _ in range(3):
+            records = engine.step_batch(states, results, schedulers, capture_hidden=True)
+            assert all(record.hidden.dtype == dtype for record in records)
+        for cache in caches + [state.cache for state in states]:
+            assert cache._k.dtype == cache._v.dtype == dtype
+        assert scores and all(score == dtype for score in scores)
+
+        # Swap-out / swap-in is bit-exact in the inference dtype, and the
+        # CRC still catches one flipped float32 value.
+        state = states[0]
+        before = [np.array(x) for layer in range(cfg.n_layers)
+                  for x in state.cache.view(layer)]
+        model.swap_out_state(state)
+        assert state.host_kv["k"].dtype == state.host_kv["v"].dtype == dtype
+        model.swap_in_state(state)
+        after = [x for layer in range(cfg.n_layers) for x in state.cache.view(layer)]
+        assert all(a.dtype == dtype and np.array_equal(a, b)
+                   for a, b in zip(after, before))
+        blob = state.cache.swap_out()
+        blob["k"].view(np.uint32).flat[0] ^= 1  # one ulp of one value
+        with pytest.raises(KVCorruptionError):
+            state.cache.swap_in(blob)
 
 
 class TestTrainableTransformer:

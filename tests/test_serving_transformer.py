@@ -3,6 +3,8 @@ token-identical to the sequential per-sequence loop — across ragged prompt
 lengths, per-sequence early exits with KV hidden-state propagation, and
 sequences retiring mid-batch — while measuring wall-clock throughput."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.config import SpecEEConfig
 from repro.distributed import make_cluster
 from repro.hardware.ledger import Event
 from repro.eval.harness import build_transformer_rig
-from repro.nn.attention import KVCache
+from repro.nn.attention import INFERENCE_DTYPE, KVCache
 from repro.serving import PagedKVCache, Request
 
 # Unverified-exit ablation with a permissive threshold: the untrained-oracle
@@ -298,6 +300,22 @@ class TestContextLimit:
         assert 1 not in report.assignments
         assert set(report.results) == {0, 2, 3}
 
+    def test_the_rotary_table_caps_the_declared_limit(self, small_transformer_rig):
+        """A model with fewer rotary positions than ``max_tokens`` declares
+        the smaller limit: a request past the table is rejected at arrival
+        instead of raising mid-tick and taking its batch-mates with it."""
+        cfg = replace(small_transformer_rig.model.cfg, max_positions=64)
+        rig = build_transformer_rig(cfg, seed=0, max_tokens=512)
+        assert rig.model.max_tokens == 64
+        trace = [Request(0, [(j % 128) + 1 for j in range(59)], 20),
+                 Request(1, [3, 1, 4, 1, 5, 9, 2, 6, 5], 12)]
+        report = rig.async_serving_engine(
+            batch_capacity=4, kv_blocks=64, block_size=8).run(trace)
+        assert set(report.rejected) == {0}
+        assert "79 context tokens" in report.rejected[0]
+        assert "limit is 64" in report.rejected[0]
+        assert_matches_generate(rig, report, trace[1:])
+
     def test_backends_without_a_limit_reject_nothing(self, control_rig):
         assert control_rig.model.max_tokens is None
         serving = control_rig.async_serving_engine(batch_capacity=2)
@@ -346,7 +364,9 @@ class TestRealKVPreemption:
         rng = np.random.default_rng(0)
         kept = []
         for layer in range(2):
-            k, v = rng.normal(size=(2, 7, 4)), rng.normal(size=(2, 7, 4))
+            # Drawn in the dtype the cache stores, so bit-exact means exact.
+            k = rng.normal(size=(2, 7, 4)).astype(INFERENCE_DTYPE)
+            v = rng.normal(size=(2, 7, 4)).astype(INFERENCE_DTYPE)
             cache.append(layer, k, v)
             kept.append((k.copy(), v.copy()))
         blob = cache.swap_out()
