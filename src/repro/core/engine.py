@@ -43,6 +43,17 @@ __all__ = ["StepRecord", "GenerationResult", "SpecEEEngine", "DRAFT_PAD_MARGIN"]
 DRAFT_PAD_MARGIN = 6.0
 
 
+def _check_controls(thresholds, draft_lens, k: int) -> None:
+    """Reject control overrides (scalars or per-row arrays) the engine cannot
+    honour: a non-finite exit threshold (NaN never exits) or a draft length
+    outside ``[1, k]``."""
+    if not np.all(np.isfinite(thresholds)):
+        raise ValueError(f"exit thresholds must be finite, got {thresholds}")
+    draft_lens = np.asarray(draft_lens)
+    if np.any((draft_lens < 1) | (draft_lens > k)):
+        raise ValueError(f"draft lengths must lie in [1, {k}], got {draft_lens}")
+
+
 @dataclass
 class StepRecord:
     """Diagnostics for one generated token.
@@ -212,13 +223,16 @@ class SpecEEEngine:
         runs at full ``k`` (``DRAFT_STEP`` cost unchanged); truncated feature
         vectors are padded back to width ``k`` (see :data:`DRAFT_PAD_MARGIN`)
         so the trained 3k-input predictor MLPs are untouched.  Defaults
-        reproduce the static engine bit for bit.
+        reproduce the static engine bit for bit.  A ``draft_len`` outside
+        ``[1, k]`` or a non-finite ``exit_threshold`` raises ``ValueError``.
         """
         model, cfg = self.model, self.config
         sched = scheduler if scheduler is not None else self.scheduler
         threshold = cfg.exit_threshold if exit_threshold is None else float(exit_threshold)
         k = cfg.num_speculative
-        d = k if draft_len is None else max(1, min(k, int(draft_len)))
+        d = k if draft_len is None else int(draft_len)
+        if exit_threshold is not None or draft_len is not None:
+            _check_controls(threshold, d, k)
         spec_tokens = self.speculator.propose(state.context)
         if d < k:
             spec_tokens = spec_tokens[:d]
@@ -258,58 +272,57 @@ class SpecEEEngine:
                 exit_layer = layer
                 break
 
-        early = exit_token is not None
-        if not early:
+        if exit_token is None:
             exit_token = int(np.argmax(model.lm_head_full(hidden)))
-        self._charge_step(result.ledger, exit_layer + 1, predictor_evals, d,
-                          verify_attempts + (not early),
-                          n_layers - 1 - exit_layer)
         if forced is not None:
             from repro.utils.mathx import log_softmax
 
             result.logprobs.append(float(log_softmax(model.lm_head_full(hidden))[forced]))
             exit_token = forced
         model.commit(state, exit_token, exit_layer)
+        return self._close_step(
+            result, sched, exit_token, exit_layer, predictor_evals, d, verify_attempts,
+            active_predictors, draft_hit, np.array(hidden, copy=True) if capture_hidden else None)
+
+    def _close_step(self, result: GenerationResult, sched: Scheduler, token: int,
+                    exit_layer: int, evals: int, draft_len: int, verifies: int,
+                    active_predictors: float, draft_hit: bool,
+                    hidden: Optional[np.ndarray]) -> StepRecord:
+        """Close one sequence's step: feed an early exit to its scheduler,
+        charge one ledger write per event kind in the order a step emits them
+        (pricing sums in insertion order) and append the record."""
+        n_layers = self.model.n_layers
+        early = exit_layer < n_layers - 1
         if early:
             sched.observe_exit(exit_layer)
+        ledger = result.ledger
+        ledger.add(Event.DRAFT_STEP)
+        ledger.add(Event.DECODER_LAYER, calls=exit_layer + 1)
+        if evals:
+            ledger.add(Event.LM_HEAD_SLICE, calls=evals, units=evals * draft_len)
+            ledger.add(Event.PREDICTOR, calls=evals)
+        if verifies or not early:
+            ledger.add(Event.LM_HEAD_FULL, calls=verifies + (not early))
+        if early:
+            ledger.add(Event.KV_FILL, units=n_layers - 1 - exit_layer)
+        ledger.tokens_generated += 1
+        ledger.steps += 1
         record = StepRecord(
-            token=exit_token, exit_layer=exit_layer, early_exit=early,
-            predictor_evals=predictor_evals, verify_attempts=verify_attempts,
-            active_predictors=active_predictors, draft_hit=draft_hit,
-            hidden=np.array(hidden, copy=True) if capture_hidden and hidden is not None else None,
-        )
-        result.tokens.append(exit_token)
+            token=token, exit_layer=exit_layer, early_exit=early, predictor_evals=evals,
+            verify_attempts=verifies, active_predictors=active_predictors,
+            draft_hit=draft_hit, hidden=hidden)
+        result.tokens.append(token)
         result.exit_layers.append(exit_layer)
         result.records.append(record)
         return record
 
     @staticmethod
-    def _charge_step(ledger: CostLedger, layers: int, evals: int, draft_len: int,
-                     full_heads: int, skipped: int) -> None:
-        """Record one decode step with one ledger write per event kind, in
-        the order a step first emits them — pricing sums a ledger in
-        insertion order, so the order is part of the modelled clock."""
-        ledger.add(Event.DRAFT_STEP)
-        ledger.add(Event.DECODER_LAYER, calls=layers)
-        if evals:
-            ledger.add(Event.LM_HEAD_SLICE, calls=evals, units=evals * draft_len)
-            ledger.add(Event.PREDICTOR, calls=evals)
-        if full_heads:
-            ledger.add(Event.LM_HEAD_FULL, calls=full_heads)
-        if skipped:
-            ledger.add(Event.KV_FILL, units=skipped)
-        ledger.tokens_generated += 1
-        ledger.steps += 1
-
-    @staticmethod
     def _pad_draft_logits(spec_logits: np.ndarray, k: int) -> np.ndarray:
-        """Pad a truncated draft's sliced logits back to width ``k`` with a
-        clearly-losing in-distribution value (row minimum minus
-        :data:`DRAFT_PAD_MARGIN`); no-op for full-width drafts."""
+        """Pad a truncated draft's sliced logits back to width ``k`` with their
+        minimum minus :data:`DRAFT_PAD_MARGIN`, in the logits' dtype."""
         if len(spec_logits) == k:
             return spec_logits
-        padded = np.full(k, float(np.min(spec_logits)) - DRAFT_PAD_MARGIN,
-                         dtype=np.float64)
+        padded = np.full(k, spec_logits.min() - DRAFT_PAD_MARGIN, spec_logits.dtype)
         padded[: len(spec_logits)] = spec_logits
         return padded
 
@@ -333,17 +346,17 @@ class SpecEEEngine:
         (:meth:`~repro.model.base.LayeredLM.layer_forward_batch`), and
         sequences drop out of the batch the moment their exit verifies — the
         SpecEE layer-skip shape, now with shrinking GEMMs.  The per-layer
-        exit check is merged across the batch too: one LM-head slice over the
-        union of all live sequences' draft tokens, one feature-extraction
-        pass and one MLP forward score the whole block, and one full-head
-        GEMM verifies every sequence whose predictor fired.  Backends without
-        real batched math (``supports_batched_decode`` False) fall back to a
-        scalar :meth:`step` loop.
+        exit check is a handful of array operations over the live rows: one
+        per-row LM-head slice of each sequence's own draft tokens, one
+        feature-extraction pass and one MLP forward score the whole block,
+        and one full-head GEMM verifies every sequence whose predictor fired.
+        Backends without real batched math (``supports_batched_decode``
+        False) fall back to a scalar :meth:`step` loop.
 
         ``exit_thresholds`` / ``draft_lens`` carry per-sequence adaptive
         control overrides (see :meth:`step`), aligned with ``states``; both
-        paths honor them, and ``None`` (the default) reproduces the static
-        engine bit for bit.
+        paths honor them, reject the same bad values, and ``None`` (the
+        default) reproduces the static engine bit for bit.
         """
         b = len(states)
         if not (b == len(results) == len(schedulers)):
@@ -352,125 +365,102 @@ class SpecEEEngine:
             return []
         model, cfg = self.model, self.config
         k = cfg.num_speculative
-        ths = ([cfg.exit_threshold] * b if exit_thresholds is None
-               else [float(t) for t in exit_thresholds])
-        ds = ([k] * b if draft_lens is None
-              else [max(1, min(k, int(d))) for d in draft_lens])
-        if not (b == len(ths) == len(ds)):
+        ths = (np.full(b, cfg.exit_threshold) if exit_thresholds is None
+               else np.asarray(exit_thresholds, dtype=np.float64))
+        ds = np.full(b, k) if draft_lens is None else np.asarray(draft_lens, dtype=np.int64)
+        if not (ths.shape == ds.shape == (b,)):
             raise ValueError("control overrides must align with states")
+        if exit_thresholds is not None or draft_lens is not None:
+            _check_controls(ths, ds, k)
         if not model.supports_batched_decode:
-            return [self.step(state, result, scheduler=sched,
-                              capture_hidden=capture_hidden,
-                              exit_threshold=th, draft_len=d)
-                    for state, result, sched, th, d
-                    in zip(states, results, schedulers, ths, ds)]
+            return [self.step(state, result, scheduler=sched, capture_hidden=capture_hidden,
+                              exit_threshold=th, draft_len=d) for state, result, sched, th, d
+                    in zip(states, results, schedulers, ths.tolist(), ds.tolist())]
 
-        spec_tokens = [self.speculator.propose(state.context) for state in states]
+        n_layers, lo = model.n_layers, cfg.min_exit_layer
+        # Once per tick: the [B, k] candidate matrix, the pad mask of the
+        # slots a load-shortened draft drops, and the [B, L-1-lo]
+        # scheduler-activity mask (schedulers change only in observe_exit,
+        # after the tick's decisions).
+        cand = np.array([self.speculator.propose(state.context) for state in states],
+                        dtype=np.int64)
         draft_hits = [self.speculator.is_hit(state.context) for state in states]
-
-        n_layers = model.n_layers
-        # Load-shortened drafts, padded back to width k by repeating the top
-        # candidate so every row stays rectangular for the union slice; the
-        # padded columns are floored below the row minimum after the gather,
-        # so feature rows match the scalar path's padded vectors exactly.
-        cand = np.stack([
-            spec_tokens[i] if ds[i] == k else
-            np.concatenate([spec_tokens[i][:ds[i]],
-                            np.repeat(spec_tokens[i][:1], k - ds[i])])
-            for i in range(b)])
-        d_arr = np.asarray(ds)
-        exit_token: List[Optional[int]] = [None] * b
-        exit_layer = [n_layers - 1] * b
-        predictor_evals = [0] * b
-        verify_attempts = [0] * b
         active_predictors = [sched.active_count() for sched in schedulers]
+        active = np.array([[sched.is_active(layer) for layer in range(lo, n_layers - 1)]
+                           for sched in schedulers], dtype=bool)
+        any_active = active.any(axis=0).tolist()
+        pad = np.arange(k) >= ds[:, None]
+        padded = bool(pad.any())
+        exit_token = np.full(b, -1, dtype=np.int64)
+        exit_layer = np.full(b, n_layers - 1, dtype=np.int64)
+        predictor_evals = np.zeros(b, dtype=np.int64)
+        verify_attempts = np.zeros(b, dtype=np.int64)
+
+        hidden = model.begin_step_batch(states)  # [B, dim]
         # Feature history, mirroring FeatureExtractor's state: each row's
         # last evaluated local probabilities plus a validity bit (the first
         # evaluated layer of a step reports zero variation).
-        last_probs = np.zeros((b, k))
+        last_probs = np.zeros((b, k), hidden.dtype)
         has_last = np.zeros(b, dtype=bool)
-
-        hidden = model.begin_step_batch(states)  # [B, dim]
-        live = list(range(b))
+        # ``live`` indexes the rows still decoding and ``h`` holds their
+        # activations in that order; an exiting row's activation is stored
+        # back into ``hidden`` as it leaves.
+        live, live_states, h = np.arange(b), list(states), hidden
         for layer in range(n_layers):
-            new = model.layer_forward_batch([states[i] for i in live], layer,
-                                            hidden[live])
-            hidden[live] = new
-            if layer >= n_layers - 1 or layer < cfg.min_exit_layer:
+            h = model.layer_forward_batch(live_states, layer, h)
+            if not lo <= layer < n_layers - 1 or not any_active[layer - lo]:
                 continue
-            rows = [pos for pos, i in enumerate(live)
-                    if schedulers[i].is_active(layer)]
-            if not rows:
+            rows = np.flatnonzero(active[live, layer - lo])
+            if not rows.size:
                 continue
-            # One pass scores every scheduler-active sequence: slice the LM
-            # head once over the union of all draft tokens, gather each row's
-            # own candidates back out, extract features and run the layer's
-            # MLP over the whole block.
-            idxs = [live[pos] for pos in rows]
-            union, inverse = np.unique(cand[idxs], return_inverse=True)
-            sliced = model.lm_head_slice_batch(new[rows], union)
-            local = sliced[np.arange(len(idxs))[:, None],
-                           inverse.reshape(len(idxs), k)]
-            pad = np.arange(k)[None, :] >= d_arr[idxs][:, None]
-            if pad.any():
-                # Padded columns gathered token-0's (real) logit, so the row
-                # min equals the min over the real columns; the floor is taken
-                # in float64 like the scalar path's, whatever the head's dtype.
-                floor = local.min(axis=1, keepdims=True).astype(np.float64) - DRAFT_PAD_MARGIN
-                local = np.where(pad, floor, local)
+            # One pass scores every scheduler-active sequence: one per-row
+            # LM-head slice, one feature extraction and one MLP forward.
+            idxs = live[rows]
+            local = model.lm_head_slice_batch(h if rows.size == live.size else h[rows],
+                                              cand[idxs])
+            if padded:
+                # The scalar path's padded vector, in the logits' dtype: the
+                # floor sits below the minimum over the real columns.
+                pads = pad[idxs]
+                floor = np.where(pads, np.inf, local).min(axis=1, keepdims=True)
+                local = np.where(pads, floor - DRAFT_PAD_MARGIN, local)
             feats, probs = FeatureExtractor.extract_rows(
                 local, last_probs[idxs], has_last[idxs])
             last_probs[idxs] = probs
             has_last[idxs] = True
-            scores = self.predictors.probability_batch(layer, feats)
-            for i in idxs:
-                predictor_evals[i] += 1
-            fired = [j for j, i in enumerate(idxs) if scores[j] >= ths[i]]
-            if not fired:
+            predictor_evals[idxs] += 1
+            fired = self.predictors.probability_batch(layer, feats) >= ths[idxs]
+            if not fired.any():
                 continue
-            hits = [idxs[j] for j in fired]
+            hits, at = idxs[fired], rows[fired]
             if cfg.verify_on_exit:
                 # One full-head GEMM verifies every sequence whose predictor
                 # fired at this layer.
-                verdicts = verify_exits(model, new[[rows[j] for j in fired]],
-                                        [spec_tokens[i][:ds[i]] for i in hits])
-                for i, verdict in zip(hits, verdicts):
-                    verify_attempts[i] += 1
-                    if verdict.ok:
-                        exit_token[i], exit_layer[i] = verdict.token, layer
+                verify_attempts[hits] += 1
+                ok, tokens = verify_exits(model, h[at], cand[hits], pad[hits])
+                hits, at, tokens = hits[ok], at[ok], tokens[ok]
             else:
                 # Unverified exit (ablation only): trust the top local token.
-                for j, i in zip(fired, hits):
-                    exit_token[i] = int(spec_tokens[i][int(np.argmax(local[j]))])
-                    exit_layer[i] = layer
-            live = [i for i in live if exit_token[i] is None]
-            if not live:
+                tokens = cand[hits, np.argmax(local[fired], axis=1)]
+            if not hits.size:
+                continue
+            exit_token[hits], exit_layer[hits] = tokens, layer
+            hidden[hits] = h[at]
+            keep = exit_token[live] < 0
+            live, h = live[keep], h[keep]
+            if not live.size:
                 break
+            live_states = [states[i] for i in live.tolist()]
 
-        if live:
-            finals = np.argmax(model.lm_head_full_batch(hidden[live]), axis=-1)
-            for i, token in zip(live, finals):
-                exit_token[i] = int(token)
-        model.commit_batch(states, exit_token, exit_layer)
+        if live.size:
+            hidden[live] = h
+            exit_token[live] = np.argmax(model.lm_head_full_batch(h), axis=-1)
+        tokens, layers = exit_token.tolist(), exit_layer.tolist()
+        evals, verifies, lens = predictor_evals.tolist(), verify_attempts.tolist(), ds.tolist()
+        model.commit_batch(states, tokens, layers)
 
-        records: List[StepRecord] = []
-        for i in range(b):
-            early = exit_layer[i] < n_layers - 1
-            if early:
-                schedulers[i].observe_exit(exit_layer[i])
-            self._charge_step(results[i].ledger, exit_layer[i] + 1,
-                              predictor_evals[i], ds[i],
-                              verify_attempts[i] + (not early),
-                              n_layers - 1 - exit_layer[i])
-            record = StepRecord(
-                token=exit_token[i], exit_layer=exit_layer[i], early_exit=early,
-                predictor_evals=predictor_evals[i],
-                verify_attempts=verify_attempts[i],
-                active_predictors=active_predictors[i], draft_hit=draft_hits[i],
-                hidden=np.array(hidden[i], copy=True) if capture_hidden else None,
-            )
-            results[i].tokens.append(exit_token[i])
-            results[i].exit_layers.append(exit_layer[i])
-            results[i].records.append(record)
-            records.append(record)
-        return records
+        snapshot = hidden.copy() if capture_hidden else [None] * b
+        return [self._close_step(results[i], schedulers[i], tokens[i], layers[i], evals[i],
+                                 lens[i], verifies[i], active_predictors[i], draft_hits[i],
+                                 snapshot[i])
+                for i in range(b)]

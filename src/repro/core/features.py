@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.mathx import softmax
+from repro.utils.mathx import as_float, softmax
 
 __all__ = ["FeatureExtractor", "feature_names"]
 
@@ -43,7 +43,7 @@ class FeatureExtractor:
     evaluated layer of a step reports zero variation (there is no previous
     measurement), later layers report the difference since the last
     *evaluated* layer — which, under predictor scheduling, is not necessarily
-    the adjacent one.
+    the adjacent one.  Features keep the dtype of the sliced logits.
     """
 
     def __init__(self, k: int):
@@ -66,11 +66,14 @@ class FeatureExtractor:
         The vector is written into one buffer the extractor owns and reuses:
         it is valid until the next call — copy it to keep it.
         """
-        k, feats = self.k, self._features
-        if np.shape(spec_logits) != (k,):
-            raise ValueError(f"expected {k} sliced logits, got {np.shape(spec_logits)}")
+        k, spec_logits = self.k, as_float(spec_logits)
+        if spec_logits.shape != (k,):
+            raise ValueError(f"expected {k} sliced logits, got {spec_logits.shape}")
+        if self._features.dtype != spec_logits.dtype:
+            self._features = np.zeros(3 * k, spec_logits.dtype)
+        feats = self._features
         feats[:k] = spec_logits
-        local_probs = softmax(feats[:k])
+        local_probs = softmax(spec_logits)
         feats[k:2 * k] = local_probs
         if self._last_probs is None:
             feats[2 * k:] = 0.0
@@ -94,9 +97,11 @@ class FeatureExtractor:
         plain elementwise subtraction — which is what lets the batched
         serving tick score every live sequence in one pass.
         """
-        spec_logits = np.asarray(spec_logits, dtype=np.float64)
-        probs = softmax(spec_logits, axis=-1)
-        variation = np.where(np.asarray(has_last)[:, None],
-                             probs - last_probs, 0.0)
-        feats = np.concatenate([spec_logits, probs, variation], axis=-1)
+        spec_logits = as_float(spec_logits)
+        k = spec_logits.shape[1]
+        feats = np.empty((len(spec_logits), 3 * k), spec_logits.dtype)
+        feats[:, :k] = spec_logits
+        feats[:, k:2 * k] = probs = softmax(spec_logits, axis=-1)
+        np.subtract(probs, last_probs, out=feats[:, 2 * k:])
+        feats[~np.asarray(has_last), 2 * k:] = 0.0
         return feats, probs

@@ -104,7 +104,9 @@ def harvest_training_corpus(
                 hidden = model.layer_forward(state, layer)
                 if layer < min_exit_layer or layer >= model.n_layers - 1:
                     continue
-                feats = extractor.extract(model.lm_head_slice(hidden, spec_tokens)).copy()
+                # Training data stays float64 whatever dtype the head serves.
+                logits = np.asarray(model.lm_head_slice(hidden, spec_tokens), np.float64)
+                feats = extractor.extract(logits).copy()
                 exit_token = int(np.argmax(model.lm_head_full(hidden)))
                 per_layer.append((layer, feats, exit_token))
             final_token = int(np.argmax(model.lm_head_full(hidden)))

@@ -13,11 +13,12 @@ skipped for the *whole tree*, and the verify forward emits
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.config import SpecEEConfig
+from repro.core.features import FeatureExtractor
 from repro.core.predictor import PredictorBank
 from repro.core.scheduling import Scheduler, make_scheduler
 from repro.hardware.ledger import CostLedger, Event
@@ -26,7 +27,6 @@ from repro.mapping.hyper_token import HyperToken, aggregate_path_logits, merged_
 from repro.mapping.tree import AcceptResult, greedy_accept
 from repro.model.draft import DraftTree, TreeDrafter
 from repro.model.synthetic import SyntheticLayeredLM, SyntheticState
-from repro.utils.mathx import softmax
 
 __all__ = ["IterationRecord", "SpecDecodeResult", "SpecEESpeculativeEngine"]
 
@@ -122,7 +122,8 @@ class SpecEESpeculativeEngine:
         head = self._head_matrix()
         m = len(tree)
         n_layers = model.n_layers
-        last_probs: Dict[HyperToken, np.ndarray] = {}
+        last_probs = np.zeros((len(hypers), cfg.num_speculative))
+        has_last = np.zeros(len(hypers), dtype=bool)
         predictor_evals = 0
         accept: Optional[AcceptResult] = None
         exit_layer = n_layers - 1
@@ -147,20 +148,18 @@ class SpecEESpeculativeEngine:
             )
             ledger.add(Event.TREE_FEATURE_GEMM, units=m + 1)
             root_logits = per_node[-1]
-            fired: List[HyperToken] = []
-            for hyper in hypers:
-                agg = aggregate_path_logits(per_node[:-1], hyper, cfg.num_speculative,
-                                            include_root=root_logits)
-                probs = softmax(agg)
-                variation = probs - last_probs.get(hyper, probs)
-                features = np.concatenate([agg, probs, variation])
-                last_probs[hyper] = probs
-                predictor_evals += 1
-                if self.predictors.probability(layer, features) >= cfg.exit_threshold:
-                    fired.append(hyper)
+            aggs = np.stack([aggregate_path_logits(per_node[:-1], hyper, cfg.num_speculative,
+                                                   include_root=root_logits)
+                             for hyper in hypers])
+            features, last_probs = FeatureExtractor.extract_rows(aggs, last_probs, has_last)
+            has_last[:] = True
+            predictor_evals += len(hypers)
             # All hyper-tokens share one batched predictor launch (the
             # merged mapping makes the per-layer predictor cost independent
             # of tree width).
+            scores = self.predictors.probability_batch(layer, features)
+            fired = [hyper for hyper, score in zip(hypers, scores)
+                     if score >= cfg.exit_threshold]
             ledger.add(Event.PREDICTOR)
             if not fired:
                 continue

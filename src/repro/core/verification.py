@@ -10,7 +10,7 @@ greedy choice.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -34,21 +34,17 @@ def verify_exit(
     The caller is responsible for charging the ``lm_head_full`` cost event —
     verification is exactly one full projection.
     """
-    return _verdict(int(np.argmax(model.lm_head_full(hidden))), spec_tokens)
+    token = int(np.argmax(model.lm_head_full(hidden)))
+    return VerifyResult(ok=any(token == t for t in spec_tokens), token=token)
 
 
 def verify_exits(
-    model: LayeredLM, hidden: np.ndarray, candidates: Sequence[Sequence[int]]
-) -> List[VerifyResult]:
+    model: LayeredLM, hidden: np.ndarray, candidates: np.ndarray, pad: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`verify_exit` for every row of ``hidden`` ([m, dim]) against its
-    own ``candidates[i]`` (possibly load-shortened), through one full-head
-    GEMM — the caller charges one ``lm_head_full`` per row."""
+    ``candidates`` row ([m, k]) minus the ``pad`` slots a shortened draft
+    does not own, through one full-head GEMM (the caller charges one
+    ``lm_head_full`` per row).  Returns (``ok`` [m], argmax ``tokens`` [m])."""
     tokens = np.argmax(model.lm_head_full_batch(hidden), axis=-1)
-    return [_verdict(int(token), spec_tokens)
-            for token, spec_tokens in zip(tokens, candidates)]
-
-
-def _verdict(token: int, spec_tokens: Sequence[int]) -> VerifyResult:
-    """The check itself: exit only with the global argmax, and only if the
-    draft proposed it."""
-    return VerifyResult(ok=any(token == t for t in spec_tokens), token=token)
+    ok = ((candidates == tokens[:, None]) & ~pad).any(axis=1)
+    return ok, tokens

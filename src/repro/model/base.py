@@ -153,9 +153,9 @@ class LayeredLM(abc.ABC):
         raise NotImplementedError
 
     def lm_head_slice_batch(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-        """Sliced logits ``[B, len(token_ids)]`` for a ``[B, hidden]`` batch
-        over one shared candidate set — the batched speculative LM head, a
-        single ``[B, dim] x [dim, k]`` GEMM."""
+        """Sliced logits ``[B, k]`` for a ``[B, hidden]`` batch, row ``i``
+        over its own candidates ``token_ids[i]`` (``[B, k]``) — the batched
+        speculative LM head."""
         raise NotImplementedError
 
     def commit_batch(

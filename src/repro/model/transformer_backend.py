@@ -202,10 +202,12 @@ class TransformerLayeredLM(LayeredLM):
         return self.lm.lm_head(hidden)
 
     def lm_head_slice_batch(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-        """Speculative LM head for the whole batch: the final norm broadcasts
-        over rows and the column slice makes it one ``[B, dim] x [dim, k]``
-        GEMM."""
-        return self.lm.lm_head_slice(hidden, token_ids)
+        """Speculative LM head for the whole batch, each row against its own
+        candidates: the final norm broadcasts over rows and one gather of
+        ``lm_head_rows`` gives every row its ``[k, dim]`` block."""
+        rows = self.lm.lm_head_rows[token_ids]  # [B, k, dim]
+        normed = self.lm.final_norm.forward_np(hidden)
+        return (rows @ normed[:, :, None])[:, :, 0]
 
     def commit_batch(
         self,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import DRAFT_PAD_MARGIN, SpecEEEngine
 from repro.core.features import FeatureExtractor, feature_names
 from repro.core.predictor import ExitPredictor, PredictorBank
 from repro.core.predictor_training import (
@@ -14,6 +15,7 @@ from repro.config import SimDims
 from repro.model.draft import Speculator
 from repro.model.profiles import get_profile
 from repro.model.synthetic import SyntheticLayeredLM
+from repro.nn.attention import INFERENCE_DTYPE
 
 
 class TestFeatureExtractor:
@@ -62,6 +64,24 @@ class TestFeatureExtractor:
             np.stack([b]), probs, np.array([True]))
         assert np.array_equal(batch2[0], f2)
 
+    def test_features_keep_the_float32_head_dtype(self):
+        """Off a float32 head both paths compute in float32 and still agree
+        exactly, padded-draft floor included."""
+        ex = FeatureExtractor(3)
+        a = np.array([1.0, 2.0, 0.5], dtype=np.float32)
+        b = np.array([2.0, 1.0, 0.0], dtype=np.float32)
+        b[2] = b[:2].min() - DRAFT_PAD_MARGIN  # what a 2-wide draft pads to
+        assert SpecEEEngine._pad_draft_logits(b[:2], 3).tolist() == b.tolist()
+        assert SpecEEEngine._pad_draft_logits(b[:2], 3).dtype == np.float32
+        f1 = ex.extract(a).copy()
+        f2 = ex.extract(b)
+        assert f1.dtype == f2.dtype == np.float32
+        batch, probs = FeatureExtractor.extract_rows(
+            np.stack([a, b]), np.stack([np.zeros(3, np.float32), f1[3:6]]),
+            np.array([False, True]))
+        assert batch.dtype == probs.dtype == np.float32
+        assert np.array_equal(batch, np.stack([f1, f2]))
+
     def test_extract_reuses_its_buffer(self):
         ex = FeatureExtractor(2)
         first = ex.extract(np.array([1.0, 0.0]))
@@ -106,6 +126,69 @@ class TestPredictorBank:
         for layer in bank.layers():
             p = bank.probability(layer, np.full(6, 100.0))
             assert 0.0 <= p <= 1.0
+
+
+def folded_cast(mlp):
+    """The served copy rebuilt from scratch: standardisation folded into the
+    first layer in float64, then every array cast to ``INFERENCE_DTYPE``."""
+    inv_sigma = 1.0 / mlp._sigma
+    weights = [mlp.weights[0] * inv_sigma[:, None]] + mlp.weights[1:]
+    biases = [mlp.biases[0] - (mlp._mu * inv_sigma) @ mlp.weights[0]] + mlp.biases[1:]
+    return [(w.astype(INFERENCE_DTYPE), b.astype(INFERENCE_DTYPE))
+            for w, b in zip(weights, biases)]
+
+
+def assert_serves(predictor, reference):
+    assert len(predictor.served) == len(reference)
+    for (w, b), (w_ref, b_ref) in zip(predictor.served, reference):
+        assert w.dtype == b.dtype == INFERENCE_DTYPE
+        assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+
+
+class TestServedPredictor:
+    """Predictors train in float64 and serve a folded ``INFERENCE_DTYPE``
+    copy, rebuilt at one point whenever the float64 weights change."""
+
+    @staticmethod
+    def data(n=64, dim=6):
+        rng = np.random.default_rng(3)
+        x = 4.0 * rng.standard_normal((n, dim)) + 2.0
+        return x, (x[:, 0] + x[:, 1] > 4.0).astype(float)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_served_probabilities_track_the_float64_mlp(self, depth):
+        pred = ExitPredictor(6, hidden_dim=16, depth=depth, seed=1)
+        x, y = self.data()
+        pred.fit(x, y, epochs=3)
+        reference = pred.mlp.forward(x)
+        served = pred.probability_batch(x)
+        assert served.dtype == INFERENCE_DTYPE
+        np.testing.assert_allclose(served, reference, atol=1e-5)
+        assert pred.probability(x[0]) == pytest.approx(reference[0], abs=1e-5)
+        assert 0.0 <= pred.probability(np.full(6, 1e6)) <= 1.0  # no overflow
+
+    def test_fit_refreshes_the_served_copy(self):
+        pred = ExitPredictor(6, hidden_dim=16, seed=1)
+        x, y = self.data()
+        before = pred.probability(x[0])
+        pred.fit(x, y, epochs=3)
+        after = pred.probability(x[0])
+        assert after != before
+        assert after == pytest.approx(float(pred.mlp.forward(x[0])), abs=1e-5)
+        assert_serves(pred, folded_cast(pred.mlp))
+
+    def test_reloaded_banks_serve_a_fresh_cast(self, tmp_path):
+        bank = PredictorBank(3, feature_dim=6, hidden_dim=8, seed=2)
+        x, y = self.data()
+        bank.predictors[0].fit(x, y, epochs=2)
+        path = str(tmp_path / "bank.npz")
+        bank.save(path)
+        for clone in (PredictorBank.from_state_dict(bank.state_dict()),
+                      PredictorBank.load(path)):
+            for layer in bank.layers():
+                assert_serves(clone.predictors[layer],
+                              folded_cast(clone.predictors[layer].mlp))
+                assert_serves(clone.predictors[layer], bank.predictors[layer].served)
 
 
 @pytest.fixture(scope="module")

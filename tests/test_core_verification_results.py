@@ -54,7 +54,7 @@ class TestVerifyExit:
         holds the global argmax, which must not exit."""
         hidden = np.random.default_rng(5).standard_normal((12, lm.hidden_dim))
         argmax = np.argmax(lm.lm_head_full_batch(hidden), axis=-1)
-        candidates = []
+        candidates, draft_lens = [], []
         for row, top in enumerate(int(t) for t in argmax):
             others = [t for t in range(4 * row, 4 * row + 5) if t != top]
             if row % 3 == 0:
@@ -62,12 +62,17 @@ class TestVerifyExit:
             elif row % 3 == 1:
                 candidates.append(others[:4])
             else:  # the draft [.., .., top, ..] shortened to its first two
-                candidates.append([others[0], others[1], top, others[2]][:2])
-        verdicts = verify_exits(lm, hidden, candidates)
-        assert verdicts == [verify_exit(lm, h, c) for h, c in zip(hidden, candidates)]
-        assert [v.ok for v in verdicts] == [row % 3 == 0 for row in range(12)]
-        assert [v.token for v in verdicts] == [int(t) for t in argmax]
-        assert verify_exits(lm, hidden[:1], [np.asarray(candidates[0])])[0].ok
+                candidates.append([others[0], others[1], top, others[2]])
+            draft_lens.append(2 if row % 3 == 2 else 4)
+        cand = np.asarray(candidates)
+        pad = np.arange(4) >= np.asarray(draft_lens)[:, None]
+        ok, tokens = verify_exits(lm, hidden, cand, pad)
+        assert [(bool(o), int(t)) for o, t in zip(ok, tokens)] == [
+            tuple(verify_exit(lm, h, c[:d]))
+            for h, c, d in zip(hidden, candidates, draft_lens)]
+        assert ok.tolist() == [row % 3 == 0 for row in range(12)]
+        assert tokens.tolist() == argmax.tolist()
+        assert verify_exits(lm, hidden[:1], cand[:1], pad[:1])[0][0]
 
 
 def record(exit_layer, early=True, evals=3):

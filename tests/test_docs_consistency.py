@@ -62,12 +62,19 @@ class TestDesignDoc:
 
     def test_design_names_the_inference_dtype(self):
         """The precision policy lives in one constant; DESIGN.md must name it
-        and the dtype it holds."""
+        and the dtype it holds — which the exit predictors are served in."""
+        import numpy as np
+
+        from repro.core.predictor import ExitPredictor
         from repro.nn.attention import INFERENCE_DTYPE
 
         design = (REPO / "DESIGN.md").read_text()
         assert "`INFERENCE_DTYPE = np.float32`" in design
+        assert "served in `INFERENCE_DTYPE`" in design
         assert INFERENCE_DTYPE.__name__ == "float32"
+        predictor = ExitPredictor(6, hidden_dim=4)
+        assert all(w.dtype == b.dtype == INFERENCE_DTYPE for w, b in predictor.served)
+        assert predictor.probability_batch(np.zeros((2, 6))).dtype == INFERENCE_DTYPE
 
     def test_experiments_md_covers_all_artifacts(self):
         text = (REPO / "EXPERIMENTS.md").read_text()

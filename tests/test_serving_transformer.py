@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.config import SpecEEConfig
@@ -498,6 +499,17 @@ class TestShardedTransformer:
         assert sharded.serving_ledger.calls(Event.PIPELINE_BUBBLE) > 0
 
 
+@st.composite
+def control_overrides(draw):
+    """A batch of 1-16 rows with per-row exit thresholds and draft lengths
+    in ``[1, k]``, verification on or off, and a scheduler kind."""
+    b = draw(st.integers(1, 16))
+    thresholds = draw(st.lists(st.floats(0.0, 1.0), min_size=b, max_size=b))
+    draft_lens = draw(st.lists(st.integers(1, 4), min_size=b, max_size=b))
+    return (thresholds, draft_lens, draw(st.booleans()),
+            draw(st.sampled_from(["all", "offline", "online"])))
+
+
 class TestBatchedPredictorPath:
     """``step_batch``'s merged exit check (one slice, one MLP pass and one
     verify GEMM per layer per tick) must make the same exit decisions and
@@ -578,6 +590,58 @@ class TestBatchedPredictorPath:
         scalar = self.run_with_flag(rig, False, "online", cfg)
         assert {i: r.tokens for i, r in batched.results.items()} == \
                {i: r.tokens for i, r in scalar.results.items()}
+
+    @settings(max_examples=25, deadline=None)
+    @given(draw=control_overrides())
+    def test_batched_matches_scalar_under_control_overrides(
+            self, small_transformer_rig, draw):
+        """Per-row thresholds and load-shortened drafts through both paths:
+        ``step_batch`` equals the ``step`` loop (what ``batched=False``
+        runs) in tokens, exit layers, records and per-sequence ledgers."""
+        rig = small_transformer_rig
+        thresholds, draft_lens, verify, kind = draw
+        cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1, scheduler=kind,
+                           verify_on_exit=verify)
+        prompts = [[(i * 11 + j) % 128 + 1 for j in range(2 + i % 5)]
+                   for i in range(len(thresholds))]
+        runs = []
+        for batched in (True, False):
+            engine = rig.specee_engine(kind, cfg)
+            states, results = map(list, zip(*map(engine.prefill, prompts)))
+            schedulers = [rig.make_scheduler(kind, cfg) for _ in prompts]
+            for _ in range(4):
+                if batched:
+                    engine.step_batch(states, results, schedulers,
+                                      exit_thresholds=thresholds, draft_lens=draft_lens)
+                    continue
+                for row in zip(states, results, schedulers, thresholds, draft_lens):
+                    engine.step(row[0], row[1], scheduler=row[2],
+                                exit_threshold=row[3], draft_len=row[4])
+            runs.append([(r.tokens, r.exit_layers, len(r.records), r.ledger.as_dict())
+                         for r in results])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("bad", [dict(draft_len=0), dict(draft_len=5)])
+    def test_out_of_range_draft_len_raises_on_both_paths(self, rig, bad):
+        self.assert_rejected_on_both_paths(rig, bad)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_raises_on_both_paths(self, rig, threshold):
+        self.assert_rejected_on_both_paths(rig, dict(exit_threshold=threshold))
+
+    @staticmethod
+    def assert_rejected_on_both_paths(rig, bad):
+        """A bad override is a typed error before any work, not a silent
+        clamp (draft length) or an exit that can never fire (NaN)."""
+        engine = rig.specee_engine("all", EXITY_CFG)
+        state, result = engine.prefill([5, 9, 2])
+        scheduler = rig.make_scheduler("all", EXITY_CFG)
+        with pytest.raises(ValueError):
+            engine.step(state, result, scheduler=scheduler, **bad)
+        rows = {f"{key}s": [value] for key, value in bad.items()}
+        with pytest.raises(ValueError):
+            engine.step_batch([state], [result], [scheduler], **rows)
+        assert result.tokens == [] and state.context == [5, 9, 2]
 
 
 class TestTransformerServeCli:

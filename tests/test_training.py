@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.config import SpecEEConfig
+from repro.core.predictor_training import harvest_training_corpus
 from repro.data.corpus import generate_corpus, generate_prompts
 from repro.model.oracle import NGramOracle
 from repro.nn.attention import INFERENCE_DTYPE
@@ -300,6 +301,27 @@ class TestTrainedRig:
     def test_trained_backend_uses_propagate_fill(self, trained_transformer_rig):
         model = trained_transformer_rig.model_factory()
         assert model.kv_fill == "propagate"
+
+    @pytest.mark.parametrize("threshold", [SpecEEConfig().exit_threshold, 0.3])
+    def test_served_predictors_track_the_float64_mlp(self, trained_transformer_rig,
+                                                     threshold):
+        """The float32 flip risk, bounded: on a corpus harvested from the
+        trained rig, every served probability is within 1e-5 of the float64
+        MLP, so a served decision can differ only for a row inside that band
+        around the threshold (the default one and the benchmarked 0.3)."""
+        rig = trained_transformer_rig
+        prompts = generate_prompts(3, rig.model.vocab_size, seed=41)
+        corpus = harvest_training_corpus(rig.model_factory(), rig.speculator,
+                                         prompts, tokens_per_prompt=16)
+        for layer in rig.bank.layers():
+            x, _ = corpus.layer_arrays(layer)
+            if not len(x):
+                continue
+            served = rig.bank.probability_batch(layer, x)
+            reference = rig.bank.predictors[layer].mlp.forward(x)
+            assert np.max(np.abs(served - reference)) <= 1e-5
+            flips = (served >= threshold) != (reference >= threshold)
+            assert np.all(np.abs(reference[flips] - threshold) <= 1e-5)
 
 
 @pytest.mark.slow
