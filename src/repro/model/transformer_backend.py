@@ -131,7 +131,7 @@ class TransformerLayeredLM(LayeredLM):
                 f"layers must run in order: expected {state.layer_cursor + 1}, got {layer}"
             )
         position = np.asarray([len(state.context) - 1])
-        state.hidden = self.lm.layer_forward(state.hidden, layer, state.cache, position)
+        state.hidden = self.lm.layer_decode_batch(state.hidden, layer, [state.cache], position)
         state.layer_cursor = layer
         return state.hidden[0]
 
@@ -155,7 +155,7 @@ class TransformerLayeredLM(LayeredLM):
         else:
             hidden = state.hidden
             for layer in range(first, self.n_layers):
-                hidden = self.lm.layer_forward(hidden, layer, state.cache, position)
+                hidden = self.lm.layer_decode_batch(hidden, layer, [state.cache], position)
         state.context.append(int(token))
         state.exit_layers.append(int(exit_layer))
         state.step_index += 1
@@ -301,6 +301,6 @@ class TransformerLayeredLM(LayeredLM):
             position = np.asarray([p - 1 + i])
             hidden = self.lm.embed(np.asarray([state.context[p - 1 + i]]))
             for layer in range(int(exit_layer) + 1):
-                hidden = self.lm.layer_forward(hidden, layer, state.cache, position)
+                hidden = self.lm.layer_decode_batch(hidden, layer, [state.cache], position)
             if exit_layer + 1 < self.n_layers:
                 self.lm.kv_fill(hidden, [int(exit_layer) + 1], [state.cache], position)

@@ -263,7 +263,8 @@ class CausalSelfAttention:
         positions: np.ndarray,
     ) -> np.ndarray:
         """One sequence's projected rows -> attention context ``[T, q_dim]``:
-        rotate Q/K, append K/V to ``cache``, attend causally over it."""
+        rotate Q/K, append K/V to ``cache``, attend causally over it.  Only
+        multi-token blocks come here; single-token decode is :meth:`decode_batch`."""
         t = q.shape[0]
         prefix_len = cache.length(layer)
         cos, sin = self.rope.tables_for(positions)
@@ -300,7 +301,8 @@ class CausalSelfAttention:
         caches: Sequence[KVCache],
         positions: np.ndarray,
     ) -> np.ndarray:
-        """Batched single-token decode: one new token per sequence.
+        """The single-token decode kernel at every batch size, batch 1
+        included: one new token per sequence.
 
         ``x`` is ``[B, dim]`` (row ``i`` is sequence ``i``'s current
         activation), ``caches[i]`` its KV cache and ``positions[i]`` its
@@ -317,12 +319,12 @@ class CausalSelfAttention:
         q_dim = self.n_heads * self.head_dim
         kv_dim = self.n_kv_heads * self.head_dim
         qkv = x @ self.wqkv  # [B, q_dim + 2*kv_dim], one GEMM for the batch
-        q = qkv[:, :q_dim].reshape(b, self.n_heads, self.head_dim)
-        k = qkv[:, q_dim : q_dim + kv_dim].reshape(b, self.n_kv_heads, self.head_dim)
+        qk = qkv[:, : q_dim + kv_dim].reshape(b, self.n_heads + self.n_kv_heads, self.head_dim)
         v = qkv[:, q_dim + kv_dim :].reshape(b, self.n_kv_heads, self.head_dim)
         cos, sin = self.rope.tables_for(positions)  # [B, head_dim/2]
-        q = apply_rope(q, cos[:, None, :], sin[:, None, :])
-        k = apply_rope(k, cos[:, None, :], sin[:, None, :])
+        # Every Q and K head of a row sits at the row's one position.
+        qk = apply_rope(qk, cos[:, None, :], sin[:, None, :])
+        q, k = qk[:, : self.n_heads], qk[:, self.n_heads :]
 
         groups: dict = {}
         for i, cache in enumerate(caches):

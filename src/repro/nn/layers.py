@@ -94,7 +94,7 @@ class RMSNorm(Module):
         return x * inv * self.weight
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        ms = np.mean(x * x, axis=-1, keepdims=True)
+        ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
         return x / np.sqrt(ms + self.eps) * self.weight.data
 
 
@@ -111,5 +111,5 @@ class SwiGLU(Module):
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         g = self.gate.forward_np(x)
-        sig = 1.0 / (1.0 + np.exp(-np.clip(g, -60, 60)))
+        sig = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(g, -60), 60)))
         return self.down.forward_np(g * sig * self.up.forward_np(x))

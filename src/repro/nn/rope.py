@@ -27,10 +27,11 @@ class RotaryEmbedding:
 
     def tables_for(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         positions = np.asarray(positions, dtype=np.int64)
-        if positions.size and positions.max() >= self.max_positions:
-            raise ValueError(
-                f"position {int(positions.max())} exceeds table size {self.max_positions}"
-            )
+        # One reduction checks both ends: viewed as uint64, a negative
+        # position lies above any table size instead of indexing from the end.
+        if positions.size and positions.view(np.uint64).max() >= self.max_positions:
+            bad = positions.min() if positions.min() < 0 else positions.max()
+            raise ValueError(f"position {int(bad)} outside the table [0, {self.max_positions})")
         return self.cos[positions], self.sin[positions]
 
 

@@ -137,8 +137,9 @@ class _DecoderLayer:
 class TinyTransformerLM:
     """Inference-only transformer with layer-resolved forward.
 
-    The engines drive it through :meth:`embed`, :meth:`layer_forward` and
-    :meth:`lm_head`; a convenience :meth:`forward_all` runs the full depth.
+    The engines drive it through :meth:`embed`, :meth:`layer_decode_batch`
+    (the single-token decode kernel) and :meth:`lm_head`; :meth:`forward_all`
+    and :meth:`prefill_ragged` run multi-token blocks at full depth.
     """
 
     def __init__(self, cfg: TransformerConfig, seed: int = 0):
@@ -200,11 +201,6 @@ class TinyTransformerLM:
     def embed(self, token_ids: np.ndarray) -> np.ndarray:
         return self.embedding[np.asarray(token_ids, dtype=np.int64)]
 
-    def layer_forward(
-        self, hidden: np.ndarray, layer: int, cache: KVCache, positions: np.ndarray
-    ) -> np.ndarray:
-        return self.layers[layer].forward(hidden, layer, cache, positions)
-
     def layer_decode_batch(
         self,
         hidden: np.ndarray,
@@ -261,8 +257,8 @@ class TinyTransformerLM:
     ) -> np.ndarray:
         """Run every layer; returns final hidden states ``[T, dim]``."""
         hidden = self.embed(token_ids)
-        for layer in range(self.cfg.n_layers):
-            hidden = self.layer_forward(hidden, layer, cache, positions)
+        for layer, block in enumerate(self.layers):
+            hidden = block.forward(hidden, layer, cache, positions)
         return hidden
 
     def prefill_ragged(

@@ -27,9 +27,9 @@ def as_float(x) -> np.ndarray:
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``; rows sum to exactly one."""
     x = as_float(x)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=axis, keepdims=True)
+    return exps / np.add.reduce(exps, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -188,8 +188,8 @@ class TestTinyTransformer:
         full = lm.forward_all(tokens, c1, np.arange(4))
         c2 = lm.new_cache(16)
         h = lm.embed(tokens)
-        for layer in range(CFG.n_layers):
-            h = lm.layer_forward(h, layer, c2, np.arange(4))
+        for layer, block in enumerate(lm.layers):
+            h = block.forward(h, layer, c2, np.arange(4))
         assert np.allclose(full, h, atol=1e-12)
 
     def test_lm_head_slice_matches_full(self):
@@ -202,6 +202,113 @@ class TestTinyTransformer:
         a = TinyTransformerLM(CFG, seed=5)
         b = TinyTransformerLM(CFG, seed=5)
         assert np.array_equal(a.embedding, b.embedding)
+
+    def test_negative_position_raises_before_any_cache_write(self):
+        lm = TinyTransformerLM(CFG, seed=0)
+        cache = lm.new_cache(16)
+        with pytest.raises(ValueError, match="position -1"):
+            lm.layer_decode_batch(lm.embed(np.asarray([1])), 0, [cache], np.asarray([-1]))
+        with pytest.raises(ValueError, match="position -1"):
+            lm.forward_all(np.asarray([1, 2]), cache, np.asarray([-1, 0]))
+        assert [cache.length(layer) for layer in range(CFG.n_layers)] == [0] * CFG.n_layers
+
+
+class TestOneDecodeKernel:
+    """``layer_decode_batch`` is the single-token decode kernel at every
+    batch size; the prompt path (``_DecoderLayer.forward`` over ``_attend``)
+    is the arithmetic it must reproduce."""
+
+    SHAPES = {
+        "trained": trained_transformer_config(),
+        # The wide benchmark rig's layer geometry, two layers deep.
+        "wide": TransformerConfig(vocab_size=64, dim=512, n_layers=2, n_heads=8,
+                                  intermediate_dim=1376, max_positions=256),
+        "gqa": TransformerConfig(vocab_size=64, dim=64, n_layers=3, n_heads=4,
+                                 n_kv_heads=2, intermediate_dim=96, max_positions=256),
+    }
+    LMS = {name: TinyTransformerLM(cfg, seed=7) for name, cfg in SHAPES.items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(SHAPES)),
+           prefix=st.one_of(st.sampled_from([0, 63, 64, 127, 128, 255]),
+                            st.integers(0, 255)),
+           steps=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_decode_kernel_is_the_prompt_paths_arithmetic(self, name, prefix, steps, seed):
+        """Random single-token steps after a random cached prefix, across the
+        ``KVCache`` growth boundaries (64 → 128 → 256) and up to
+        ``max_positions − 1``.  With MHA both paths run the same kernels and
+        match bit for bit; with GQA the kernel's per-group matmul replaces
+        the prompt path's repeated heads, which changes the BLAS kernel, so
+        the bound is float32's 1e-5 (relative, and absolute near zero)."""
+        lm = self.LMS[name]
+        cfg = lm.cfg
+        rng = np.random.default_rng(seed)
+        kv_heads, head_dim = cfg.n_kv_heads or cfg.n_heads, cfg.dim // cfg.n_heads
+        kernel, prompt = lm.new_cache(cfg.max_positions), lm.new_cache(cfg.max_positions)
+        for layer in range(cfg.n_layers):
+            k, v = rng.standard_normal((2, kv_heads, prefix, head_dim)).astype(INFERENCE_DTYPE)
+            kernel.append(layer, k, v)
+            prompt.append(layer, k, v)
+
+        def same(got, want):
+            if name == "gqa":
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+            else:
+                assert np.array_equal(got, want)
+
+        for step in range(min(steps, cfg.max_positions - prefix)):
+            position = np.asarray([prefix + step])
+            fast = slow = lm.embed(rng.integers(0, cfg.vocab_size, 1))
+            for layer, block in enumerate(lm.layers):
+                fast = lm.layer_decode_batch(fast, layer, [kernel], position)
+                slow = block.forward(slow, layer, prompt, position)
+                same(fast, slow)
+        for layer in range(cfg.n_layers):
+            assert kernel.length(layer) == prompt.length(layer)
+            for got, want in zip(kernel.view(layer), prompt.view(layer)):
+                same(got, want)
+
+
+@pytest.mark.slow
+class TestTrainedDecodePinned:
+    """Batch-1 decode on the session's trained rig, pinned as literals
+    measured while batch-1 layers still ran through the prompt path: moving
+    them onto the decode kernel moved no token and no exit."""
+
+    PROMPTS = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3, 5, 8, 9, 7], [2, 7, 1, 8, 2, 8, 1]]
+    SPECEE = [
+        ([63, 47, 28, 58, 63, 63, 63, 63, 63, 63, 63, 47, 30, 47, 40, 63, 58, 18, 63, 40,
+          28, 28, 50, 28],
+         [3, 2, 2, 7, 3, 2, 2, 2, 2, 3, 3, 7, 2, 2, 3, 7, 7, 7, 3, 7, 2, 3, 2, 2]),
+        ([0, 47, 0, 47, 2, 0, 38, 2, 0, 16, 63, 58, 0, 10, 15, 1, 61, 63, 63, 63, 63, 47,
+          63, 63],
+         [7, 7, 7, 2, 2, 7, 7, 3, 7, 7, 2, 7, 7, 7, 7, 2, 2, 2, 2, 2, 3, 7, 3, 7]),
+        ([61, 2, 63, 28, 63, 28, 58, 63, 63, 40, 53, 23, 10, 33, 47, 8, 39, 28, 28, 58, 63,
+          63, 40, 0],
+         [7, 7, 2, 2, 3, 7, 2, 2, 2, 7, 7, 7, 3, 2, 7, 7, 2, 7, 2, 7, 2, 2, 7, 7]),
+    ]
+    DENSE = [
+        [63, 63, 63, 63, 63, 63, 32, 28, 58, 63, 40, 28, 50, 28, 26, 63, 30, 47, 47, 26,
+         63, 45, 63, 45],
+        [0, 47, 0, 47, 2, 0, 38, 57, 31, 8, 63, 58, 23, 13, 45, 57, 31, 63, 35, 52, 28, 13,
+         63, 63],
+        [61, 2, 63, 28, 63, 28, 58, 63, 48, 42, 53, 23, 10, 28, 58, 2, 15, 37, 63, 63, 63,
+         47, 30, 50],
+    ]
+
+    def test_specee_generate_tokens_and_exit_layers(self, trained_transformer_rig):
+        engine = trained_transformer_rig.specee_engine(
+            "offline", config=SpecEEConfig(scheduler="offline", exit_threshold=0.3),
+            offline_top_k=2)
+        for prompt, (tokens, exits) in zip(self.PROMPTS, self.SPECEE):
+            result = engine.generate(prompt, 24)
+            assert (result.tokens, result.exit_layers) == (tokens, exits)
+
+    def test_generate_dense_tokens(self, trained_transformer_rig):
+        model = trained_transformer_rig.model_factory()
+        for prompt, tokens in zip(self.PROMPTS, self.DENSE):
+            assert model.generate_dense(model.start(prompt), 24) == tokens
 
 
 def per_layer_kv_fill(lm, hidden, first_layers, caches, positions):
