@@ -12,14 +12,14 @@ while paying ~20% latency for its prediction pass (Sec. 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.baselines.dense import DenseEngine, dense_layer_logits
 from repro.baselines.svm import LinearSVM
-from repro.core.engine import GenerationResult, StepRecord
-from repro.hardware.ledger import Event
-from repro.model.base import LayeredLM
+from repro.hardware.ledger import CostLedger, Event
+from repro.model.base import LayeredLM, LMState
 from repro.utils.mathx import softmax
 
 __all__ = ["adainfer_features", "AdaInferEngine", "train_adainfer_gates"]
@@ -47,22 +47,11 @@ def train_adainfer_gates(
 ) -> Dict[int, LinearSVM]:
     """Harvest full-vocab features layer-wise and fit one SVM per layer."""
     per_layer: Dict[int, List[Tuple[np.ndarray, int]]] = {}
-    for prompt in prompts:
-        state = model.start(prompt)
-        for _ in range(tokens_per_prompt):
-            model.begin_step(state)
-            rows: List[Tuple[int, np.ndarray, int]] = []
-            hidden = None
-            for layer in range(model.n_layers):
-                hidden = model.layer_forward(state, layer)
-                if layer < min_exit_layer or layer >= model.n_layers - 1:
-                    continue
-                logits = model.lm_head_full(hidden)
-                rows.append((layer, adainfer_features(logits), int(np.argmax(logits))))
-            final = int(np.argmax(model.lm_head_full(hidden)))
-            for layer, feats, tok in rows:
-                per_layer.setdefault(layer, []).append((feats, int(tok == final)))
-            model.commit(state, final, model.n_layers - 1)
+    for _state, logits in dense_layer_logits(model, prompts, tokens_per_prompt):
+        final = int(np.argmax(logits[-1]))
+        for layer in range(min_exit_layer, model.n_layers - 1):
+            per_layer.setdefault(layer, []).append(
+                (adainfer_features(logits[layer]), int(np.argmax(logits[layer]) == final)))
     gates: Dict[int, LinearSVM] = {}
     for layer, samples in per_layer.items():
         x = np.stack([s[0] for s in samples])
@@ -76,73 +65,36 @@ def train_adainfer_gates(
 
 
 @dataclass
-class AdaInferEngine:
+class AdaInferEngine(DenseEngine):
     """Early exit gated by per-layer SVMs on full-vocabulary features."""
 
     model: LayeredLM
     gates: Dict[int, LinearSVM]
     min_exit_layer: int = 2
 
-    def generate(
-        self,
-        prompt: Sequence[int],
-        max_new_tokens: int,
-        script: Optional[Sequence[int]] = None,
-        force_tokens: Optional[Sequence[int]] = None,
-    ) -> GenerationResult:
-        model = self.model
-        state = model.start(prompt, script=script)
-        result = GenerationResult()
-        result.ledger.prompt_tokens = len(state.context)
-        result.ledger.add(Event.PREFILL_LAYER, calls=model.n_layers,
-                          units=model.n_layers * len(state.context))
-        last = model.n_layers - 1
-        if force_tokens is not None:
-            max_new_tokens = len(force_tokens)
-        for step in range(max_new_tokens):
-            model.begin_step(state)
-            token: Optional[int] = None
-            exit_layer = last
-            evals = 0
-            hidden = None
-            for layer in range(model.n_layers):
-                hidden = model.layer_forward(state, layer)
-                result.ledger.add(Event.DECODER_LAYER)
-                if layer < self.min_exit_layer or layer >= last:
-                    continue
-                gate = self.gates.get(layer)
-                if gate is None:
-                    continue
-                # Full LM head *every layer* — AdaInfer's structural cost.
-                logits = model.lm_head_full(hidden)
-                result.ledger.add(Event.LM_HEAD_FULL)
-                result.ledger.add(Event.FEATURE_STATS)
-                feats = adainfer_features(logits)
-                result.ledger.add(Event.SVM_PREDICT)
-                evals += 1
-                if bool(gate.predict(feats)[0]):
-                    token = int(np.argmax(logits))  # unverified exit
-                    exit_layer = layer
-                    break
-            if token is None:
-                result.ledger.add(Event.LM_HEAD_FULL)
-                token = int(np.argmax(model.lm_head_full(hidden)))
-                exit_layer = last
-            else:
-                result.ledger.add(Event.KV_FILL, units=last - exit_layer)
-            if force_tokens is not None:
-                from repro.utils.mathx import log_softmax
+    @property
+    def active_predictors(self) -> float:
+        return float(len(self.gates))
 
-                token = int(force_tokens[step])
-                result.logprobs.append(float(log_softmax(model.lm_head_full(hidden))[token]))
-            model.commit(state, token, exit_layer)
-            result.ledger.tokens_generated += 1
-            result.ledger.steps += 1
-            result.tokens.append(token)
-            result.exit_layers.append(exit_layer)
-            result.records.append(StepRecord(
-                token=token, exit_layer=exit_layer, early_exit=exit_layer < last,
-                predictor_evals=evals, verify_attempts=0,
-                active_predictors=float(len(self.gates)), draft_hit=False,
-            ))
-        return result
+    def _decide(self, state: LMState, ledger: CostLedger) -> Tuple[int, int, np.ndarray, int]:
+        model = self.model
+        last = model.n_layers - 1
+        evals = 0
+        for layer in range(model.n_layers):
+            hidden = model.layer_forward(state, layer)
+            ledger.add(Event.DECODER_LAYER)
+            gate = self.gates.get(layer)
+            if layer < self.min_exit_layer or layer >= last or gate is None:
+                continue
+            # Full LM head *every layer* — AdaInfer's structural cost.
+            logits = model.lm_head_full(hidden)
+            ledger.add(Event.LM_HEAD_FULL)
+            ledger.add(Event.FEATURE_STATS)
+            feats = adainfer_features(logits)
+            ledger.add(Event.SVM_PREDICT)
+            evals += 1
+            if bool(gate.predict(feats)[0]):
+                ledger.add(Event.KV_FILL, units=last - layer)
+                return int(np.argmax(logits)), layer, hidden, evals  # unverified exit
+        ledger.add(Event.LM_HEAD_FULL)
+        return int(np.argmax(model.lm_head_full(hidden))), last, hidden, evals

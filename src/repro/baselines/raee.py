@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import GenerationResult, StepRecord
-from repro.hardware.ledger import Event
-from repro.model.base import LayeredLM
+from repro.baselines.dense import DenseEngine, dense_layer_logits
+from repro.hardware.ledger import CostLedger, Event
+from repro.model.base import LayeredLM, LMState
 
 __all__ = ["RAEEDatabase", "RAEEEngine"]
 
@@ -77,24 +77,12 @@ def build_raee_database(
     """Populate the database from dense decodes: key = mean embedding of the
     recent context window, value = the token's earliest correct-exit layer."""
     db = RAEEDatabase(dim=model.hidden_dim)
-    for prompt in prompts:
-        state = model.start(prompt)
-        for _ in range(tokens_per_prompt):
-            model.begin_step(state)
-            embedding = _context_embedding(model, state.context, embed_window)
-            earliest: Optional[int] = None
-            hidden = None
-            argmaxes: List[int] = []
-            for layer in range(model.n_layers):
-                hidden = model.layer_forward(state, layer)
-                argmaxes.append(int(np.argmax(model.lm_head_full(hidden))))
-            final = argmaxes[-1]
-            for layer, tok in enumerate(argmaxes):
-                if tok == final and all(a == final for a in argmaxes[layer:]):
-                    earliest = layer
-                    break
-            db.add(embedding, earliest if earliest is not None else model.n_layers - 1)
-            model.commit(state, final, model.n_layers - 1)
+    for state, logits in dense_layer_logits(model, prompts, tokens_per_prompt):
+        argmaxes = [int(np.argmax(layer_logits)) for layer_logits in logits]
+        earliest = len(argmaxes) - 1
+        while earliest and argmaxes[earliest - 1] == argmaxes[-1]:
+            earliest -= 1
+        db.add(_context_embedding(model, state.context, embed_window), earliest)
     return db
 
 
@@ -108,7 +96,7 @@ def _context_embedding(model: LayeredLM, context: Sequence[int], window: int) ->
 
 
 @dataclass
-class RAEEEngine:
+class RAEEEngine(DenseEngine):
     """Exit at the retrieved layer (with the model's argmax at that depth)."""
 
     model: LayeredLM
@@ -117,49 +105,17 @@ class RAEEEngine:
     embed_window: int = 4
     min_exit_layer: int = 2
 
-    def generate(
-        self,
-        prompt: Sequence[int],
-        max_new_tokens: int,
-        script: Optional[Sequence[int]] = None,
-        force_tokens: Optional[Sequence[int]] = None,
-    ) -> GenerationResult:
+    def _decide(self, state: LMState, ledger: CostLedger) -> Tuple[int, int, np.ndarray, int]:
         model = self.model
-        state = model.start(prompt, script=script)
-        result = GenerationResult()
-        result.ledger.prompt_tokens = len(state.context)
-        result.ledger.add(Event.PREFILL_LAYER, calls=model.n_layers,
-                          units=model.n_layers * len(state.context))
         last = model.n_layers - 1
-        if force_tokens is not None:
-            max_new_tokens = len(force_tokens)
-        for step in range(max_new_tokens):
-            model.begin_step(state)
-            embedding = _context_embedding(model, state.context, self.embed_window)
-            predicted, _confidence = self.database.query(embedding, self.neighbours)
-            result.ledger.add(Event.RETRIEVAL, units=len(self.database))
-            exit_layer = int(np.clip(predicted, self.min_exit_layer, last))
-            hidden = model.run_to_layer(state, exit_layer)
-            result.ledger.add(Event.DECODER_LAYER, calls=exit_layer + 1)
-            result.ledger.add(Event.LM_HEAD_FULL)
-            token = int(np.argmax(model.lm_head_full(hidden)))
-            if exit_layer < last:
-                result.ledger.add(Event.KV_FILL, units=last - exit_layer)
-            if force_tokens is not None:
-                from repro.utils.mathx import log_softmax
-
-                token = int(force_tokens[step])
-                result.logprobs.append(
-                    float(log_softmax(model.lm_head_full(hidden))[token]))
-            model.commit(state, token, exit_layer)
-            result.ledger.tokens_generated += 1
-            result.ledger.steps += 1
-            result.tokens.append(token)
-            result.exit_layers.append(exit_layer)
-            result.records.append(StepRecord(
-                token=token, exit_layer=exit_layer, early_exit=exit_layer < last,
-                predictor_evals=1, verify_attempts=0, active_predictors=0.0,
-                draft_hit=False,
-            ))
-        result.saturations = list(getattr(state, "saturation_layers", []))
-        return result
+        embedding = _context_embedding(model, state.context, self.embed_window)
+        predicted, _confidence = self.database.query(embedding, self.neighbours)
+        ledger.add(Event.RETRIEVAL, units=len(self.database))
+        exit_layer = int(np.clip(predicted, self.min_exit_layer, last))
+        hidden = model.run_to_layer(state, exit_layer)
+        ledger.add(Event.DECODER_LAYER, calls=exit_layer + 1)
+        ledger.add(Event.LM_HEAD_FULL)
+        token = int(np.argmax(model.lm_head_full(hidden)))
+        if exit_layer < last:
+            ledger.add(Event.KV_FILL, units=last - exit_layer)
+        return token, exit_layer, hidden, 1

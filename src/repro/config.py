@@ -13,7 +13,7 @@ Two kinds of "model size" coexist in this reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 __all__ = [
@@ -109,8 +109,10 @@ class SpecEEConfig:
     verify_on_exit: bool = True  # Sec. 4.3.3 verification algorithm
 
     def __post_init__(self) -> None:
-        if self.num_speculative < 1:
-            raise ValueError("num_speculative must be >= 1")
+        for name, low in (("num_speculative", 1), ("context_window", 1),
+                          ("layer_vicinity", 0), ("min_exit_layer", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0.0 < self.exit_threshold < 1.0:
             raise ValueError("exit_threshold must lie in (0, 1)")
         if self.scheduler not in {"all", "offline", "online", "two_level"}:

@@ -31,8 +31,10 @@ from repro.core.verification import verify_exit, verify_exits
 from repro.hardware.ledger import CostLedger, Event
 from repro.model.base import LayeredLM, LMState
 from repro.model.draft import Speculator
+from repro.utils.mathx import log_softmax
 
-__all__ = ["StepRecord", "GenerationResult", "SpecEEEngine", "DRAFT_PAD_MARGIN"]
+__all__ = ["StepRecord", "GenerationResult", "SpecEEEngine", "DRAFT_PAD_MARGIN",
+           "prefilled_result"]
 
 #: Margin (in logit units) below the row minimum used to pad a
 #: load-shortened draft back to the predictor's trained feature width ``k``:
@@ -112,6 +114,16 @@ class GenerationResult:
         return float(np.mean([r.active_predictors for r in self.records]))
 
 
+def prefilled_result(model: LayeredLM, state: LMState) -> GenerationResult:
+    """An empty result whose ledger carries ``state``'s prompt prefill: every
+    layer once over the whole context.  Every batch-1 engine starts here."""
+    result = GenerationResult()
+    result.ledger.prompt_tokens = len(state.context)
+    result.ledger.add(Event.PREFILL_LAYER, calls=model.n_layers,
+                      units=model.n_layers * len(state.context))
+    return result
+
+
 class SpecEEEngine:
     """Autoregressive decoding with speculative early exiting."""
 
@@ -166,11 +178,11 @@ class SpecEEEngine:
     def prefill(
         self, prompt: Sequence[int], script: Optional[Sequence[int]] = None
     ) -> tuple[LMState, GenerationResult]:
-        """Start a sequence: model state plus an empty result whose ledger
-        carries the prompt prefill.  Callers driving :meth:`step` directly
-        (the continuous-batching server) own the scheduler lifetime — pass a
-        per-sequence scheduler to every ``step`` call."""
-        return self._prefilled(self.model.start(prompt, script=script))
+        """Start a sequence: model state plus :func:`prefilled_result`.
+        Callers driving :meth:`step` directly own the scheduler lifetime —
+        pass a per-sequence scheduler to every ``step`` call."""
+        state = self.model.start(prompt, script=script)
+        return state, prefilled_result(self.model, state)
 
     def prefill_batch(
         self,
@@ -180,15 +192,8 @@ class SpecEEEngine:
         """:meth:`prefill` for many sequences through one
         :meth:`LayeredLM.start_batch`, which real backends run as a single
         batched pass; each sequence's ledger is charged as if prefilled alone."""
-        return [self._prefilled(state)
+        return [(state, prefilled_result(self.model, state))
                 for state in self.model.start_batch(prompts, scripts)]
-
-    def _prefilled(self, state: LMState) -> tuple[LMState, GenerationResult]:
-        result = GenerationResult()
-        result.ledger.prompt_tokens = len(state.context)
-        result.ledger.add(Event.PREFILL_LAYER, calls=self.model.n_layers,
-                          units=self.model.n_layers * len(state.context))
-        return state, result
 
     def finish(self, state: LMState, result: GenerationResult) -> GenerationResult:
         """Seal a sequence: copy model-internal diagnostics into the result."""
@@ -205,14 +210,14 @@ class SpecEEEngine:
         exit_threshold: Optional[float] = None,
         draft_len: Optional[int] = None,
     ) -> StepRecord:
-        """Advance one sequence by one token.
+        """Advance one sequence by one token: the batch-1 reference that
+        :meth:`step_batch` is tested against.
 
-        ``scheduler`` overrides the engine's own predictor scheduler; batched
-        serving passes one per sequence so each request's online exit history
-        stays isolated (and outputs match an unbatched run token for token).
-        ``capture_hidden`` copies the exit-layer hidden state onto the
-        returned record — the serving scheduler persists it as the token's
-        paged-KV payload; plain generation skips the copy.
+        ``scheduler`` overrides the engine's own predictor scheduler; serving
+        passes one per sequence so each request's online exit history stays
+        isolated.  ``capture_hidden`` copies the exit-layer hidden state onto
+        the returned record — the serving scheduler persists it as the
+        token's paged-KV payload; plain generation skips the copy.
 
         ``exit_threshold`` / ``draft_len`` are the adaptive-control actuation
         points (``repro.serving.control``): the former replaces the configured
@@ -275,8 +280,6 @@ class SpecEEEngine:
         if exit_token is None:
             exit_token = int(np.argmax(model.lm_head_full(hidden)))
         if forced is not None:
-            from repro.utils.mathx import log_softmax
-
             result.logprobs.append(float(log_softmax(model.lm_head_full(hidden))[forced]))
             exit_token = forced
         model.commit(state, exit_token, exit_layer)
@@ -350,13 +353,13 @@ class SpecEEEngine:
         per-row LM-head slice of each sequence's own draft tokens, one
         feature-extraction pass and one MLP forward score the whole block,
         and one full-head GEMM verifies every sequence whose predictor fired.
-        Backends without real batched math (``supports_batched_decode``
-        False) fall back to a scalar :meth:`step` loop.
+        It runs on every backend: one without real batched math serves it
+        through :class:`~repro.model.base.LayeredLM`'s loop defaults.
 
         ``exit_thresholds`` / ``draft_lens`` carry per-sequence adaptive
-        control overrides (see :meth:`step`), aligned with ``states``; both
-        paths honor them, reject the same bad values, and ``None`` (the
-        default) reproduces the static engine bit for bit.
+        control overrides (see :meth:`step`), aligned with ``states``; they
+        are checked as :meth:`step` checks them, and ``None`` (the default)
+        reproduces the static engine bit for bit.
         """
         b = len(states)
         if not (b == len(results) == len(schedulers)):
@@ -372,11 +375,6 @@ class SpecEEEngine:
             raise ValueError("control overrides must align with states")
         if exit_thresholds is not None or draft_lens is not None:
             _check_controls(ths, ds, k)
-        if not model.supports_batched_decode:
-            return [self.step(state, result, scheduler=sched, capture_hidden=capture_hidden,
-                              exit_threshold=th, draft_len=d) for state, result, sched, th, d
-                    in zip(states, results, schedulers, ths.tolist(), ds.tolist())]
-
         n_layers, lo = model.n_layers, cfg.min_exit_layer
         # Once per tick: the [B, k] candidate matrix, the pad mask of the
         # slots a load-shortened draft drops, and the [B, L-1-lo]

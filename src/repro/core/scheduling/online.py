@@ -15,17 +15,20 @@ from typing import FrozenSet
 
 import numpy as np
 
+from repro.core.scheduling.base import Scheduler
 from repro.utils.ring import CircularQueue
 
 __all__ = ["OnlineScheduler"]
 
 
-class OnlineScheduler:
+class OnlineScheduler(Scheduler):
     """Circular-queue + counter-array online predictor scheduler."""
 
     def __init__(self, n_layers: int, window: int = 5, vicinity: int = 2):
         if n_layers < 2:
             raise ValueError("n_layers must be >= 2")
+        if vicinity < 0:
+            raise ValueError("vicinity must be >= 0")
         self.n_layers = n_layers
         self.window = window
         self.vicinity = vicinity
@@ -53,9 +56,8 @@ class OnlineScheduler:
     def active_set(self) -> FrozenSet[int]:
         return frozenset(int(l) for l in np.nonzero(self._counts > 0)[0])
 
-    @property
-    def active_count(self) -> int:
-        return int(np.count_nonzero(self._counts > 0))
+    def active_count(self) -> float:
+        return float(np.count_nonzero(self._counts > 0))
 
     def reset(self) -> None:
         self._queue.clear()

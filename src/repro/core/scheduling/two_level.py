@@ -11,9 +11,9 @@ on average) beats any fixed predictor count.
 
 from __future__ import annotations
 
-import abc
 from typing import FrozenSet, Iterable, Optional
 
+from repro.core.scheduling.base import Scheduler
 from repro.core.scheduling.offline import OfflineScheduler
 from repro.core.scheduling.online import OnlineScheduler
 
@@ -24,23 +24,6 @@ __all__ = [
     "TwoLevelScheduler",
     "make_scheduler",
 ]
-
-
-class Scheduler(abc.ABC):
-    """Decides, per layer, whether the exit predictor runs."""
-
-    @abc.abstractmethod
-    def is_active(self, layer: int) -> bool: ...
-
-    def observe_exit(self, layer: int) -> None:
-        """Feed back an observed early exit (default: stateless)."""
-
-    def reset(self) -> None:
-        """Clear per-sequence state (default: stateless)."""
-
-    @abc.abstractmethod
-    def active_count(self) -> float:
-        """Current number of active predictor layers (for reporting)."""
 
 
 class AllLayersScheduler(Scheduler):

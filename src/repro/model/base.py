@@ -54,18 +54,11 @@ class LayeredLM(abc.ABC):
     decode* surface (``begin_step_batch`` / ``layer_forward_batch`` /
     ``lm_head_full_batch`` / ``lm_head_slice_batch`` / ``commit_batch``,
     driven by ``step_batch``) that advances many sequences one layer at a
-    time, so per-sequence early exits shrink the batch mid-stack.  The five
-    primitives have no scalar fallback: they are implemented by backends
-    that set ``supports_batched_decode = True`` (see
-    :class:`~repro.model.transformer_backend.TransformerLayeredLM`); every
-    other backend is driven through the scalar interface —
-    :meth:`SpecEEEngine.step_batch <repro.core.engine.SpecEEEngine.step_batch>`
-    loops :meth:`~repro.core.engine.SpecEEEngine.step` for them.
+    time, so per-sequence early exits shrink the batch mid-stack.  Every
+    backend serves through it: the defaults here loop the scalar methods,
+    and backends with real ``[B, dim]`` math override them (see
+    :class:`~repro.model.transformer_backend.TransformerLayeredLM`).
     """
-
-    #: Whether the backend implements the batched-decode primitives with real
-    #: [B, dim] math.  Serving uses this to pick the wall-clock fast path.
-    supports_batched_decode: bool = False
 
     #: Context limit: the most tokens (prompt plus generated) one sequence may
     #: hold, or ``None`` when the backend has no such limit.  Serving rejects
@@ -131,8 +124,11 @@ class LayeredLM(abc.ABC):
     # -- batched decode ------------------------------------------------------
     def begin_step_batch(self, states: Sequence[LMState]) -> np.ndarray:
         """Prepare every state for its next token; returns the ``[B, hidden]``
-        batch of current activations."""
-        raise NotImplementedError
+        batch of current activations (zeros here: a scalar backend holds no
+        activation before layer 0)."""
+        for state in states:
+            self.begin_step(state)
+        return np.zeros((len(states), self.hidden_dim))
 
     def layer_forward_batch(
         self,
@@ -146,17 +142,17 @@ class LayeredLM(abc.ABC):
         shrink ``states`` between layers as sequences exit early — that is
         the SpecEE layer-skip shape, and it shrinks the GEMMs accordingly.
         """
-        raise NotImplementedError
+        return np.stack([self.layer_forward(state, layer) for state in states])
 
     def lm_head_full_batch(self, hidden: np.ndarray) -> np.ndarray:
-        """Full-vocabulary logits for a ``[B, hidden]`` batch (one GEMM)."""
-        raise NotImplementedError
+        """Full-vocabulary logits for a ``[B, hidden]`` batch."""
+        return np.stack([self.lm_head_full(h) for h in hidden])
 
     def lm_head_slice_batch(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
         """Sliced logits ``[B, k]`` for a ``[B, hidden]`` batch, row ``i``
         over its own candidates ``token_ids[i]`` (``[B, k]``) — the batched
         speculative LM head."""
-        raise NotImplementedError
+        return np.stack([self.lm_head_slice(h, ids) for h, ids in zip(hidden, token_ids)])
 
     def commit_batch(
         self,
@@ -165,7 +161,8 @@ class LayeredLM(abc.ABC):
         exit_layers: Sequence[int],
     ) -> None:
         """Accept one token per state (each possibly decided mid-depth)."""
-        raise NotImplementedError
+        for state, token, exit_layer in zip(states, tokens, exit_layers):
+            self.commit(state, token, exit_layer)
 
     def step_batch(
         self, states: Sequence[LMState], exit_layers: Sequence[int]

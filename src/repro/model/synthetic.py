@@ -238,11 +238,6 @@ class SyntheticLayeredLM(LayeredLM):
         ids = np.asarray(token_ids, dtype=np.int64)
         return self.profile.gain * (self._emb[ids] @ hidden)
 
-    def lm_head_full_batch(self, hidden: np.ndarray) -> np.ndarray:
-        """One ``[B, dim] x [dim, vocab]`` GEMM (what batched verification,
-        :func:`~repro.core.verification.verify_exits`, asks of a backend)."""
-        return self.profile.gain * (np.asarray(hidden) @ self._emb.T)
-
     def commit(self, state: SyntheticState, token: int, exit_layer: int) -> None:
         if state.plan is None:
             raise RuntimeError("commit without begin_step")

@@ -56,8 +56,6 @@ class TransformerLayeredLM(LayeredLM):
     full-layer fill and the cheap propagation fill the trained rigs use.
     """
 
-    supports_batched_decode = True
-
     def __init__(
         self,
         cfg: TransformerConfig | None = None,

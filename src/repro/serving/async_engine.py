@@ -38,10 +38,12 @@ hooks: swap moves the transformer's :class:`~repro.nn.attention.KVCache` to
 a host blob bit for bit, and recompute replays the context at full depth on
 resume — both alongside the modelled ``KV_SWAP``/``PREFILL_LAYER`` charges.
 
-Backends that support batched decode (``supports_batched_decode``) run each
-tick's decode through :meth:`SpecEEEngine.step_batch`, so the transformer
-serves real ``[B, dim]`` math under the async scheduler; the report then
-carries wall-clock time and measured tokens/s next to the modelled clock.
+Every backend runs each tick's decode through
+:meth:`SpecEEEngine.step_batch`: the transformer serves real ``[B, dim]``
+math under the async scheduler, and the synthetic LM serves through
+:class:`~repro.model.base.LayeredLM`'s loop defaults, so both run the same
+exit-decision code.  The report carries wall-clock time and measured
+tokens/s next to the modelled clock.
 Prefill is batched the same way on every backend: a tick's fresh admits go
 through one :meth:`SpecEEEngine.prefill_batch`, which the transformer runs
 as a single ragged pass that streams each layer's weights once.
@@ -451,7 +453,7 @@ class AsyncServingEngine:
         chunk_prefill_tokens: Optional[int] = 32,
         scheduling: Union[str, SchedulingPolicy] = "fifo_priority",
         cluster: Optional[ClusterSpec] = None,
-        batched: Optional[bool] = None,
+        batched: bool = True,
         control: Union[str, ControlPolicy, SpeculationController, None] = None,
         control_seed: int = 0,
         faults: Optional[ReplicaFaultView] = None,
@@ -467,10 +469,10 @@ class AsyncServingEngine:
         :func:`build_paged_cache`).
         ``scheduling`` picks the :class:`SchedulingPolicy` that orders
         admission/service and selects preemption victims (``"fifo_priority"``
-        or ``"edf"``, or a policy instance).  ``batched`` routes each tick's
-        decode through :meth:`SpecEEEngine.step_batch` (real ``[B, dim]``
-        math on backends that support it); the default follows the model's
-        ``supports_batched_decode``.
+        or ``"edf"``, or a policy instance).  ``batched`` (the default)
+        routes each tick's decode through :meth:`SpecEEEngine.step_batch`;
+        ``batched=False`` steps the sequences one at a time through
+        :meth:`SpecEEEngine.step`, the batch-1 reference.
 
         ``control`` attaches a load-adaptive :class:`SpeculationController`
         (``"static"``/``"pressure"``/``"bandit"``, a policy instance, or a
@@ -524,8 +526,7 @@ class AsyncServingEngine:
         self.preemption = preemption
         self.chunk_prefill_tokens = chunk_prefill_tokens
         self.scheduling = make_scheduling_policy(scheduling)
-        self.batched = (engine.model.supports_batched_decode
-                        if batched is None else bool(batched))
+        self.batched = bool(batched)
         if control is None:
             self.controller: Optional[SpeculationController] = None
         elif isinstance(control, SpeculationController):
@@ -869,14 +870,11 @@ class AsyncServingEngine:
                 schedulers, capture_hidden=True,
                 exit_thresholds=exit_ths, draft_lens=draft_ls)
         else:
-            ths = exit_ths if exit_ths is not None else [None] * len(runnable)
-            lens = draft_ls if draft_ls is not None else [None] * len(runnable)
-            records = [self.engine.step(slot.state, slot.result,
-                                        scheduler=sched,
-                                        capture_hidden=True,
-                                        exit_threshold=th, draft_len=dl)
-                       for slot, sched, th, dl
-                       in zip(runnable, schedulers, ths, lens)]
+            unset = [None] * len(runnable)
+            records = [self.engine.step(slot.state, slot.result, scheduler=sched,
+                                        capture_hidden=True, exit_threshold=th, draft_len=dl)
+                       for slot, sched, th, dl in zip(runnable, schedulers,
+                                                      exit_ths or unset, draft_ls or unset)]
         for slot, before, record in zip(runnable, befores, records):
             delta = slot.result.ledger.delta_since(before)
             dropped_layers += delta.calls(Event.DECODER_LAYER)

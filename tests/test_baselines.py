@@ -39,6 +39,101 @@ class TestDenseEngine:
         assert result.perplexity > 1.0
 
 
+@pytest.fixture(scope="module")
+def trained_baselines():
+    """AdaInfer gates and the RAEE database, fitted once on seed-21 decodes."""
+    return (train_adainfer_gates(fresh(), [[1, 2, 3], [4, 5, 6]], tokens_per_prompt=20),
+            build_raee_database(fresh(), [[1, 2, 3]], tokens_per_prompt=20))
+
+
+def baseline(name, trained):
+    gates, database = trained
+    return {"dense": lambda: DenseEngine(fresh()),
+            "adainfer": lambda: AdaInferEngine(fresh(), gates),
+            "raee": lambda: RAEEEngine(fresh(), database)}[name]()
+
+
+class TestBaselinesPinned:
+    """Dense, AdaInfer and RAEE on one seed-21 rig and prompt ``[7, 7, 7]``:
+    tokens, exit layers, ledgers (``as_dict()`` items in insertion order, which
+    pricing sums in) and teacher-forced log-probabilities, measured before the
+    three engines shared one token loop."""
+
+    FORCED = [9, 3, 5, 9, 1, 4]
+    PINNED = {
+        "dense": dict(
+            tokens=[353, 66, 478, 478, 330, 441, 471, 9], exits=[31] * 8,
+            ledger=[("prefill_layer", 32, 96), ("decoder_layer", 256, 256),
+                    ("lm_head_full", 8, 8)],
+            forced_exits=[31] * 6,
+            forced_ledger=[("prefill_layer", 32, 96), ("decoder_layer", 192, 192),
+                           ("lm_head_full", 6, 6)],
+            logprobs=[-10.072791, -8.898461, -10.625308, -12.567441, -10.809837,
+                      -10.682205]),
+        "adainfer": dict(
+            tokens=[353, 441, 511, 160, 475, 408, 138, 160],
+            exits=[20, 21, 18, 18, 19, 21, 21, 18],
+            ledger=[("prefill_layer", 32, 96), ("decoder_layer", 164, 164),
+                    ("lm_head_full", 84, 84), ("feature_stats", 84, 84),
+                    ("svm_predict", 84, 84), ("kv_fill", 8, 92)],
+            forced_exits=[20, 21, 19, 21, 19, 21],
+            forced_ledger=[("prefill_layer", 32, 96), ("decoder_layer", 127, 127),
+                           ("lm_head_full", 67, 67), ("feature_stats", 67, 67),
+                           ("svm_predict", 67, 67), ("kv_fill", 6, 65)],
+            logprobs=[-10.781424, -10.788554, -9.198189, -10.637971, -10.036064,
+                      -13.360359]),
+        "raee": dict(
+            tokens=[13, 471, 437, 478, 20, 353, 353, 176],
+            exits=[17, 17, 19, 18, 20, 18, 18, 18],
+            ledger=[("prefill_layer", 32, 96), ("retrieval_lookup", 8, 160),
+                    ("decoder_layer", 153, 153), ("lm_head_full", 8, 8),
+                    ("kv_fill", 8, 103)],
+            forced_exits=[17, 16, 18, 19, 18, 19],
+            forced_ledger=[("prefill_layer", 32, 96), ("retrieval_lookup", 6, 120),
+                           ("decoder_layer", 113, 113), ("lm_head_full", 6, 6),
+                           ("kv_fill", 6, 79)],
+            logprobs=[-10.919748, -11.796751, -8.77119, -11.36996, -11.679114,
+                      -12.28972]),
+    }
+
+    @staticmethod
+    def ledger_items(result):
+        return [(kind, entry["calls"], entry["units"])
+                for kind, entry in result.ledger.as_dict().items()]
+
+    @pytest.mark.parametrize("name", ["dense", "adainfer", "raee"])
+    def test_free_running(self, trained_baselines, name):
+        pinned = self.PINNED[name]
+        result = baseline(name, trained_baselines).generate([7, 7, 7], 8)
+        assert result.tokens == pinned["tokens"]
+        assert result.exit_layers == pinned["exits"]
+        assert self.ledger_items(result) == pinned["ledger"]
+        assert (result.ledger.tokens_generated, result.ledger.steps) == (8, 8)
+        assert [r.early_exit for r in result.records] == [e < 31 for e in pinned["exits"]]
+
+    @pytest.mark.parametrize("name", ["dense", "adainfer", "raee"])
+    def test_teacher_forced(self, trained_baselines, name):
+        pinned = self.PINNED[name]
+        result = baseline(name, trained_baselines).generate(
+            [7, 7, 7], 0, force_tokens=self.FORCED)
+        assert result.tokens == self.FORCED
+        assert result.exit_layers == pinned["forced_exits"]
+        assert self.ledger_items(result) == pinned["forced_ledger"]
+        assert result.logprobs == pytest.approx(pinned["logprobs"], abs=1e-6)
+
+
+class TestSaturationsFollowRecords:
+    """Every batch-1 engine copies the model's per-step saturation layer
+    ``L*`` onto its result, one per record."""
+
+    @pytest.mark.parametrize("name", ["dense", "adainfer", "raee", "specee"])
+    def test_one_per_record(self, request, trained_baselines, name):
+        engine = (request.getfixturevalue("control_rig").specee_engine()
+                  if name == "specee" else baseline(name, trained_baselines))
+        result = engine.generate([7, 7, 7], 8)
+        assert len(result.saturations) == len(result.records) == 8
+
+
 class TestLinearSVM:
     def test_learns_separable(self):
         rng = np.random.default_rng(0)

@@ -64,3 +64,15 @@ class TestSpecEEConfig:
             SpecEEConfig(exit_threshold=1.0)
         with pytest.raises(ValueError):
             SpecEEConfig(scheduler="nope")
+
+    @pytest.mark.parametrize("bad", [dict(context_window=0), dict(layer_vicinity=-1),
+                                     dict(min_exit_layer=-3)])
+    def test_scheduler_settings_validated(self, bad):
+        """An empty context window, a negative vicinity (the online set is
+        then always empty) or a negative exit floor is refused up front."""
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SpecEEConfig(**bad)
+
+    def test_scheduler_settings_edges_accepted(self):
+        cfg = SpecEEConfig(context_window=1, layer_vicinity=0, min_exit_layer=0)
+        assert (cfg.context_window, cfg.layer_vicinity, cfg.min_exit_layer) == (1, 0, 0)

@@ -12,7 +12,8 @@ from repro.core import (
     make_scheduler,
     train_predictor_bank,
 )
-from repro.core.scheduling import OfflineScheduler, profile_exit_frequencies
+from repro.core.scheduling import (OfflineScheduler, OnlineScheduler,
+                                   profile_exit_frequencies)
 from repro.hardware.ledger import Event
 from repro.model.draft import Speculator
 from repro.model.profiles import get_profile
@@ -66,6 +67,24 @@ class TestVerifiedConsistency:
 
 
 class TestEngineBehaviour:
+    def test_online_scheduler_drives_the_engine(self, stack_default):
+        """A bare :class:`OnlineScheduler` is a full scheduler: the engine
+        decodes with it and its vicinity set follows the observed exits."""
+        profile, lm, spec, bank = stack_default
+        scheduler = OnlineScheduler(lm.n_layers)
+        engine = SpecEEEngine(SyntheticLayeredLM(profile, SimDims(), seed=3),
+                              spec, bank, SpecEEConfig(), scheduler=scheduler)
+        result = engine.generate([4, 5, 6], 40)
+        assert len(result.tokens) == 40
+        assert all(type(r.active_predictors) is float for r in result.records)
+        # Cold start: no exit is queued, so no predictor runs on the first token.
+        assert result.records[0].active_predictors == 0.0
+        state, result = engine.prefill([4, 5, 6])
+        scheduler.observe_exit(16)
+        record = engine.step(state, result)
+        assert record.active_predictors == 5.0
+        assert 1 <= record.predictor_evals <= 5
+
     def test_exit_layers_respect_min(self, stack_default):
         profile, lm, spec, bank = stack_default
         cfg = SpecEEConfig(min_exit_layer=6)

@@ -9,6 +9,7 @@ from repro.core.scheduling import (
     FixedSetScheduler,
     OfflineScheduler,
     OnlineScheduler,
+    Scheduler,
     TwoLevelScheduler,
     make_scheduler,
     profile_exit_frequencies,
@@ -76,6 +77,19 @@ class TestOnlineScheduler:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             OnlineScheduler(8).observe_exit(8)
+
+    def test_is_a_scheduler_with_a_float_count(self):
+        """The engine calls ``active_count()`` on any :class:`Scheduler`."""
+        sched = OnlineScheduler(16, window=4, vicinity=2)
+        assert isinstance(sched, Scheduler)
+        assert sched.active_count() == 0.0
+        sched.observe_exit(8)
+        count = sched.active_count()
+        assert type(count) is float and count == 5.0
+
+    def test_rejects_negative_vicinity(self):
+        with pytest.raises(ValueError, match="vicinity"):
+            OnlineScheduler(8, vicinity=-1)
 
     @given(st.lists(st.integers(min_value=0, max_value=15), max_size=40))
     @settings(max_examples=40, deadline=None)

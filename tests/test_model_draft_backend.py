@@ -162,10 +162,6 @@ class TestTransformerBatchedDecode:
         return (TransformerLayeredLM(self.CFG, seed=0, max_tokens=128),
                 TransformerLayeredLM(self.CFG, seed=0, max_tokens=128))
 
-    def test_supports_batched_decode_flag(self):
-        backend, _ = self.fresh_pair()
-        assert backend.supports_batched_decode
-
     def test_step_batch_token_identical_to_scalar_loop(self):
         """Batched greedy decode with ragged per-sequence exit layers equals
         the scalar begin/run_to_layer/commit loop, token for token."""

@@ -2,6 +2,8 @@
 serving engine: determinism vs unbatched decoding, admission/queueing
 behaviour, duplicate-id rejection, KV lifecycle, and ledger consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,10 +112,12 @@ class TestAdmissionPolicy:
 
 
 class TestServingDeterminism:
-    @pytest.mark.parametrize("flavor", ["offline", "online", "two_level"])
+    @pytest.mark.parametrize("flavor", ["offline", "online", "two_level", "all"])
     def test_token_identical_to_sequential(self, rig, flavor):
         """Continuous batching must not change a single token, for every
-        scheduler flavor and a mixed-length batch."""
+        scheduler flavor and a mixed-length batch: each request's tokens,
+        exit layers, step records and ledger (in insertion order, which
+        pricing sums in) equal batch-1 ``generate``."""
         serving = closed_batch_engine(rig, scheduler_kind=flavor,
                                       batch_capacity=4, kv_blocks=64,
                                       block_size=4)
@@ -122,9 +126,26 @@ class TestServingDeterminism:
         sequential = rig.specee_engine(flavor)
         for request in requests:
             reference = sequential.generate(request.prompt, request.max_new_tokens)
-            assert report.results[request.request_id].tokens == reference.tokens
-            assert (report.results[request.request_id].exit_layers
-                    == reference.exit_layers)
+            served = report.results[request.request_id]
+            assert served.tokens == reference.tokens
+            assert served.exit_layers == reference.exit_layers
+            assert [replace(r, hidden=None) for r in served.records] == reference.records
+            assert list(served.ledger.as_dict().items()) == \
+                   list(reference.ledger.as_dict().items())
+
+    def test_synthetic_serving_decodes_through_step_batch(self, rig, monkeypatch):
+        """The synthetic backend serves through ``step_batch`` by default
+        (``LayeredLM``'s loop defaults), never through the batch-1 ``step``."""
+        serving = closed_batch_engine(rig, batch_capacity=4)
+        assert serving.batched is True
+        calls = []
+        step_batch = serving.engine.step_batch
+        monkeypatch.setattr(serving.engine, "step_batch",
+                            lambda *a, **kw: calls.append(len(a[0])) or step_batch(*a, **kw))
+        monkeypatch.setattr(serving.engine, "step", lambda *a, **kw: pytest.fail("step"))
+        report = serving.run(make_requests([6, 3, 5]))
+        assert sum(calls) == report.total_tokens == 14
+        assert max(calls) == 3
 
     def test_capacity_does_not_change_tokens(self, rig):
         requests = make_requests()

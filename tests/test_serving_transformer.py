@@ -594,12 +594,17 @@ class TestBatchedPredictorPath:
     @settings(max_examples=25, deadline=None)
     @given(draw=control_overrides())
     def test_batched_matches_scalar_under_control_overrides(
-            self, small_transformer_rig, draw):
+            self, small_transformer_rig, control_rig, draw):
         """Per-row thresholds and load-shortened drafts through both paths:
         ``step_batch`` equals the ``step`` loop (what ``batched=False``
-        runs) in tokens, exit layers, records and per-sequence ledgers."""
-        rig = small_transformer_rig
-        thresholds, draft_lens, verify, kind = draw
+        runs) in tokens, exit layers, records and per-sequence ledgers, on
+        the transformer and on the synthetic backend (which serves
+        ``step_batch`` through ``LayeredLM``'s loop defaults)."""
+        for rig in (small_transformer_rig, control_rig):
+            self.assert_batched_matches_scalar(rig, *draw)
+
+    @staticmethod
+    def assert_batched_matches_scalar(rig, thresholds, draft_lens, verify, kind):
         cfg = SpecEEConfig(exit_threshold=0.35, min_exit_layer=1, scheduler=kind,
                            verify_on_exit=verify)
         prompts = [[(i * 11 + j) % 128 + 1 for j in range(2 + i % 5)]
@@ -617,8 +622,8 @@ class TestBatchedPredictorPath:
                 for row in zip(states, results, schedulers, thresholds, draft_lens):
                     engine.step(row[0], row[1], scheduler=row[2],
                                 exit_threshold=row[3], draft_len=row[4])
-            runs.append([(r.tokens, r.exit_layers, len(r.records), r.ledger.as_dict())
-                         for r in results])
+            runs.append([(r.tokens, r.exit_layers, r.records,
+                          list(r.ledger.as_dict().items())) for r in results])
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("bad", [dict(draft_len=0), dict(draft_len=5)])
