@@ -29,7 +29,7 @@ from repro.core.scheduling import (
     make_scheduler,
 )
 from repro.core.spec_engine import SpecDecodeResult, SpecEESpeculativeEngine
-from repro.core.verification import verify_exit
+from repro.core.verification import verify_exits
 
 __all__ = [
     "AllLayersScheduler",
@@ -47,5 +47,5 @@ __all__ = [
     "harvest_training_corpus",
     "make_scheduler",
     "train_predictor_bank",
-    "verify_exit",
+    "verify_exits",
 ]

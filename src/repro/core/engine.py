@@ -27,7 +27,7 @@ from repro.config import SpecEEConfig
 from repro.core.features import FeatureExtractor
 from repro.core.predictor import PredictorBank
 from repro.core.scheduling import Scheduler, make_scheduler
-from repro.core.verification import verify_exit, verify_exits
+from repro.core.verification import verify_exits
 from repro.hardware.ledger import CostLedger, Event
 from repro.model.base import LayeredLM, LMState
 from repro.model.draft import Speculator
@@ -245,7 +245,7 @@ class SpecEEEngine:
         model.begin_step(state)
         self._extractor.reset()
 
-        n_layers = model.n_layers
+        n_layers, lo = model.n_layers, cfg.min_exit_layer
         exit_token: Optional[int] = None
         exit_layer = n_layers - 1
         predictor_evals = 0
@@ -255,9 +255,7 @@ class SpecEEEngine:
         hidden = None
         for layer in range(n_layers):
             hidden = model.layer_forward(state, layer)
-            if layer >= n_layers - 1 or layer < cfg.min_exit_layer:
-                continue
-            if not sched.is_active(layer):
+            if not lo <= layer < n_layers - 1 or not sched.is_active(layer):
                 continue
             spec_logits = model.lm_head_slice(hidden, spec_tokens)
             features = self._extractor.extract(self._pad_draft_logits(spec_logits, k))
@@ -266,10 +264,11 @@ class SpecEEEngine:
             if probability < threshold:
                 continue
             if cfg.verify_on_exit:
+                # Verification (Sec. 4.3.3): exit only on a candidate argmax.
                 verify_attempts += 1
-                verdict = verify_exit(model, hidden, spec_tokens)
-                if verdict.ok:
-                    exit_token, exit_layer = verdict.token, layer
+                token = int(model.lm_head_full(hidden).argmax())
+                if token in spec_tokens:
+                    exit_token, exit_layer = token, layer
                     break
             else:
                 # Unverified exit (ablation only): trust the top local token.
@@ -278,7 +277,7 @@ class SpecEEEngine:
                 break
 
         if exit_token is None:
-            exit_token = int(np.argmax(model.lm_head_full(hidden)))
+            exit_token = int(model.lm_head_full(hidden).argmax())
         if forced is not None:
             result.logprobs.append(float(log_softmax(model.lm_head_full(hidden))[forced]))
             exit_token = forced
@@ -414,8 +413,8 @@ class SpecEEEngine:
             # One pass scores every scheduler-active sequence: one per-row
             # LM-head slice, one feature extraction and one MLP forward.
             idxs = live[rows]
-            local = model.lm_head_slice_batch(h if rows.size == live.size else h[rows],
-                                              cand[idxs])
+            checked = h if rows.size == live.size else h[rows]
+            local = model.lm_head_slice_batch(checked, cand[idxs])
             if padded:
                 # The scalar path's padded vector, in the logits' dtype: the
                 # floor sits below the minimum over the real columns.
@@ -433,9 +432,10 @@ class SpecEEEngine:
             hits, at = idxs[fired], rows[fired]
             if cfg.verify_on_exit:
                 # One full-head GEMM verifies every sequence whose predictor
-                # fired at this layer.
+                # fired at this layer (all fired: the slice's block and norm).
                 verify_attempts[hits] += 1
-                ok, tokens = verify_exits(model, h[at], cand[hits], pad[hits])
+                ok, tokens = verify_exits(model, checked if fired.all() else checked[fired],
+                                          cand[hits], pad[hits])
                 hits, at, tokens = hits[ok], at[ok], tokens[ok]
             else:
                 # Unverified exit (ablation only): trust the top local token.

@@ -47,19 +47,22 @@ class ExitPredictor:
         return self.mlp.n_params
 
     def probability(self, features: np.ndarray) -> float:
-        """Exit probability for one feature vector."""
-        return float(self.probability_batch(features))
+        """Exit probability for one feature vector (its logit as a scalar)."""
+        return float(0.5 * np.tanh(0.5 * self._logits(features)[0]) + 0.5)
 
     def probability_batch(self, features: np.ndarray) -> np.ndarray:
         """Exit probabilities for ``[m, feature_dim]`` rows in one MLP pass."""
+        # The logistic in its tanh form: no overflow at large |logit|.
+        return 0.5 * np.tanh(0.5 * self._logits(features)[..., 0]) + 0.5
+
+    def _logits(self, features: np.ndarray) -> np.ndarray:
         h = np.asarray(features, dtype=INFERENCE_DTYPE)
         for w, b in self.served[:-1]:
             h = h @ w
             h += b
             np.maximum(h, 0.0, out=h)
         w, b = self.served[-1]
-        # The logistic in its tanh form: no overflow at large |logit|.
-        return 0.5 * np.tanh(0.5 * (h @ w + b)[..., 0]) + 0.5
+        return h @ w + b
 
     def fit(self, x: np.ndarray, y: np.ndarray, **kwargs):
         report = self.mlp.fit(x, y, **kwargs)

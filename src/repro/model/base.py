@@ -53,10 +53,10 @@ class LayeredLM(abc.ABC):
     Besides the scalar per-sequence interface, the class defines a *batched
     decode* surface (``begin_step_batch`` / ``layer_forward_batch`` /
     ``lm_head_full_batch`` / ``lm_head_slice_batch`` / ``commit_batch``,
-    driven by ``step_batch``) that advances many sequences one layer at a
-    time, so per-sequence early exits shrink the batch mid-stack.  Every
-    backend serves through it: the defaults here loop the scalar methods,
-    and backends with real ``[B, dim]`` math override them (see
+    driven by ``SpecEEEngine.step_batch``) that advances many sequences one
+    layer at a time, so per-sequence early exits shrink the batch mid-stack.
+    Every backend serves through it: the defaults here loop the scalar
+    methods, and backends with real ``[B, dim]`` math override them (see
     :class:`~repro.model.transformer_backend.TransformerLayeredLM`).
     """
 
@@ -163,39 +163,6 @@ class LayeredLM(abc.ABC):
         """Accept one token per state (each possibly decided mid-depth)."""
         for state, token, exit_layer in zip(states, tokens, exit_layers):
             self.commit(state, token, exit_layer)
-
-    def step_batch(
-        self, states: Sequence[LMState], exit_layers: Sequence[int]
-    ) -> List[int]:
-        """Greedy-decode one token for every state with per-sequence exit
-        depths.
-
-        Sequence ``i`` runs layers ``0 .. exit_layers[i]`` and commits the
-        argmax of the full LM head at its exit activation; sequences drop out
-        of the batch as the depth passes their exit layer.  Used by dense
-        batched decoding and by callers that decide exits up front; the
-        SpecEE engine drives the finer-grained primitives directly because
-        its exits are decided layer by layer.
-        """
-        if len(states) != len(exit_layers):
-            raise ValueError(
-                f"{len(states)} states but {len(exit_layers)} exit layers")
-        if not states:
-            return []
-        exits = [int(e) for e in exit_layers]
-        for e in exits:
-            if not 0 <= e < self.n_layers:
-                raise ValueError(f"exit layer {e} outside [0, {self.n_layers})")
-        b = len(states)
-        hidden = self.begin_step_batch(states)
-        for layer in range(max(exits) + 1):
-            idx = [i for i in range(b) if exits[i] >= layer]
-            hidden[idx] = self.layer_forward_batch(
-                [states[i] for i in idx], layer, hidden[idx])
-        logits = self.lm_head_full_batch(hidden)
-        tokens = [int(t) for t in np.argmax(logits, axis=-1)]
-        self.commit_batch(states, tokens, exits)
-        return tokens
 
     # -- preemption (serving) ------------------------------------------------
     # The async serving engine evicts sequences under KV pressure.  Modelled

@@ -1,12 +1,7 @@
-"""LayeredLM adapter over the real numpy transformer.
-
-This backend runs genuine attention/FFN math through the same interface the
-engines drive, which keeps the whole SpecEE pipeline honest: every feature
-extraction, predictor call and verification step that works on the synthetic
-backend also works on a real transformer.  With random weights its outputs
-are not a trained language, so experiments use the synthetic backend; tests
-use this one to validate the interface contract (KV-cache consistency,
-early-exit KV propagation, layer ordering).
+"""LayeredLM adapter over the real numpy transformer: genuine attention and
+FFN math behind the interface the engines drive — random weights for the
+interface contract under test, LayerSkip-trained weights (``repro.training``)
+for the rigs whose exits really fire.
 """
 
 from __future__ import annotations
@@ -20,6 +15,9 @@ from repro.nn.attention import KVCache
 from repro.nn.transformer import TinyTransformerLM, TransformerConfig
 
 __all__ = ["TransformerLayeredLM", "TransformerState"]
+
+# The exit check's empty caches: (activation, u, u * g) and (ids, head rows).
+_NO_CHECK = ((np.empty(0), None, None), (None, None))
 
 
 class TransformerState(LMState):
@@ -79,6 +77,7 @@ class TransformerLayeredLM(LayeredLM):
         self.kv_fill = kv_fill
         # The declared context limit: no cache may outgrow the rotary table.
         self.max_tokens = min(max_tokens, self.cfg.max_positions)
+        self._check, self._rows = _NO_CHECK
 
     @property
     def n_layers(self) -> int:
@@ -120,6 +119,7 @@ class TransformerLayeredLM(LayeredLM):
         last = state.context[-1]
         state.hidden = self.lm.embed(np.asarray([last]))
         state.layer_cursor = -1
+        self._check, self._rows = _NO_CHECK
 
     def layer_forward(self, state: TransformerState, layer: int) -> np.ndarray:
         if state.hidden is None:
@@ -133,11 +133,34 @@ class TransformerLayeredLM(LayeredLM):
         state.layer_cursor = layer
         return state.hidden[0]
 
+    # -- the exit check ------------------------------------------------------
+    # A checked activation is normalised once per step: the slice, the verify
+    # and the early-exit fill read its unit-RMS row ``u`` (keyed by identity:
+    # layer outputs are never written in place), and the draft's head rows
+    # are gathered once.  Both caches empty at ``begin_step[_batch]``.
+    def _normed(self, hidden: np.ndarray) -> np.ndarray:
+        if self._check[0] is not hidden:
+            unit = self.lm.final_norm.unit(hidden)
+            self._check = (hidden, unit, unit * self.lm.final_norm.weight.data)
+        return self._check[2]
+
+    def _exit_unit(self, hidden: np.ndarray) -> Optional[np.ndarray]:
+        """The check's ``u`` if it normalised exactly the exit row ``hidden``."""
+        key, unit, _ = self._check
+        same = key.size == hidden.size and (key.base is hidden or hidden.base is key)
+        return unit.reshape(hidden.shape) if same else None
+
+    def _head_rows(self, ids) -> np.ndarray:
+        key = (ids.shape, ids.tobytes()) if isinstance(ids, np.ndarray) else tuple(ids)
+        if key != self._rows[0]:
+            self._rows = (key, self.lm.lm_head_rows.take(ids, 0))
+        return self._rows[1]
+
     def lm_head_full(self, hidden: np.ndarray) -> np.ndarray:
-        return self.lm.lm_head(hidden)
+        return self._normed(hidden) @ self.lm.lm_head_weight
 
     def lm_head_slice(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-        return self.lm.lm_head_slice(hidden, token_ids)
+        return self._normed(hidden) @ self._head_rows(token_ids).T
 
     def commit(self, state: TransformerState, token: int, exit_layer: int) -> None:
         if state.hidden is None:
@@ -149,7 +172,8 @@ class TransformerLayeredLM(LayeredLM):
         first = state.layer_cursor + 1
         if self.kv_fill == "propagate":
             if first < self.n_layers:
-                self.lm.kv_fill(state.hidden, [first], [state.cache], position)
+                self.lm.kv_fill(state.hidden, [first], [state.cache], position,
+                                self._exit_unit(state.hidden))
         else:
             hidden = state.hidden
             for layer in range(first, self.n_layers):
@@ -168,6 +192,7 @@ class TransformerLayeredLM(LayeredLM):
         for i, state in enumerate(states):
             state.hidden = batch[i : i + 1]
             state.layer_cursor = -1
+        self._check, self._rows = _NO_CHECK
         return batch
 
     def layer_forward_batch(
@@ -197,15 +222,13 @@ class TransformerLayeredLM(LayeredLM):
 
     def lm_head_full_batch(self, hidden: np.ndarray) -> np.ndarray:
         """Final norm + LM-head projection of the whole ``[B, dim]`` batch."""
-        return self.lm.lm_head(hidden)
+        return self._normed(hidden) @ self.lm.lm_head_weight
 
     def lm_head_slice_batch(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
         """Speculative LM head for the whole batch, each row against its own
         candidates: the final norm broadcasts over rows and one gather of
         ``lm_head_rows`` gives every row its ``[k, dim]`` block."""
-        rows = self.lm.lm_head_rows[token_ids]  # [B, k, dim]
-        normed = self.lm.final_norm.forward_np(hidden)
-        return (rows @ normed[:, :, None])[:, :, 0]
+        return (self._head_rows(token_ids) @ self._normed(hidden)[:, :, None])[:, :, 0]
 
     def commit_batch(
         self,
@@ -233,7 +256,8 @@ class TransformerLayeredLM(LayeredLM):
             caches = [states[i].cache for i in early]
             firsts = [cursors[i] + 1 for i in early]
             if self.kv_fill == "propagate":
-                self.lm.kv_fill(hidden, firsts, caches, positions)
+                unit = self._exit_unit(states[early[0]].hidden) if len(early) == 1 else None
+                self.lm.kv_fill(hidden, firsts, caches, positions, unit)
             else:
                 for layer in range(min(firsts), self.n_layers):
                     idx = [j for j, first in enumerate(firsts) if first <= layer]

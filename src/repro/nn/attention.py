@@ -81,8 +81,12 @@ class KVCache:
         self._k, self._v, self._capacity = grown_k, grown_v, capacity
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append ``[n_kv_heads, t, head_dim]`` keys/values for ``layer``."""
-        t = k.shape[1]
+        """Append ``[n_kv_heads, t, head_dim]`` keys/values for ``layer``
+        (any other shape raises rather than broadcasting into the slots)."""
+        t = k.shape[1] if k.ndim == 3 else 0
+        want = (self.n_kv_heads, t, self.head_dim)
+        if (k.shape, v.shape) != (want, want):
+            raise ValueError(f"K/V of shapes {k.shape}/{v.shape}, expected {want}")
         start = self.length(layer)
         if start + t > self.max_tokens:
             raise ValueError(
@@ -97,19 +101,23 @@ class KVCache:
         """Append one token's ``[n_layers - first_layer, n_kv_heads,
         head_dim]`` keys/values to every layer from ``first_layer`` on with
         one slice assignment — the early-exit fill writes all of a step's
-        skipped layers, which share one filled length, at once."""
-        lengths = self._lengths[first_layer:]
-        start = int(lengths[0])
-        if (lengths != start).any():
+        skipped layers, which share one filled length, at once (any other
+        shape raises)."""
+        want = (self.n_layers - first_layer, self.n_kv_heads, self.head_dim)
+        if (k.shape, v.shape) != (want, want):
+            raise ValueError(f"K/V of shapes {k.shape}/{v.shape}, expected {want}")
+        lengths = self._lengths[first_layer:].tolist()  # list ops beat array ops on a few ints
+        start = lengths[0]
+        if lengths.count(start) != len(lengths):
             raise ValueError(
-                f"layers from {first_layer} on hold unequal lengths {lengths.tolist()}")
+                f"layers from {first_layer} on hold unequal lengths {lengths}")
         if start + 1 > self.max_tokens:
             raise ValueError(
                 f"KV cache overflow at layer {first_layer}: {start}+1 > {self.max_tokens}")
         self._ensure_capacity(start + 1)
         self._k[first_layer:, :, start] = k
         self._v[first_layer:, :, start] = v
-        lengths += 1
+        self._lengths[first_layer:] = start + 1
 
     def view(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only views of the filled prefix for ``layer``."""
@@ -321,7 +329,7 @@ class CausalSelfAttention:
         qkv = x @ self.wqkv  # [B, q_dim + 2*kv_dim], one GEMM for the batch
         qk = qkv[:, : q_dim + kv_dim].reshape(b, self.n_heads + self.n_kv_heads, self.head_dim)
         v = qkv[:, q_dim + kv_dim :].reshape(b, self.n_kv_heads, self.head_dim)
-        cos, sin = self.rope.tables_for(positions)  # [B, head_dim/2]
+        cos, sin = self.rope.tables_for(positions)  # [B, head_dim]
         # Every Q and K head of a row sits at the row's one position.
         qk = apply_rope(qk, cos[:, None, :], sin[:, None, :])
         q, k = qk[:, : self.n_heads], qk[:, self.n_heads :]

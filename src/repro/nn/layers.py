@@ -93,9 +93,13 @@ class RMSNorm(Module):
         inv = (ms + self.eps) ** -0.5
         return x * inv * self.weight
 
+    def unit(self, x: np.ndarray) -> np.ndarray:
+        """Unit-RMS rows, shared by every gain of one eps (1-D: scalar math, same bits)."""
+        ms = np.add.reduce(x * x, axis=-1, keepdims=x.ndim > 1) / x.shape[-1]
+        return x / np.sqrt(ms + self.eps)
+
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-        return x / np.sqrt(ms + self.eps) * self.weight.data
+        return self.unit(x) * self.weight.data
 
 
 class SwiGLU(Module):

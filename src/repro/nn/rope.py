@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.utils.mathx import as_float
 
-__all__ = ["RotaryEmbedding", "apply_rope"]
+__all__ = ["RotaryEmbedding", "apply_rope", "pair_swap"]
+
+
+@lru_cache(maxsize=None)
+def pair_swap(head_dim: int) -> np.ndarray:
+    """The shared, read-only index swapping each pair ``(2i, 2i + 1)``."""
+    swap = np.arange(head_dim) ^ 1
+    swap.flags.writeable = False
+    return swap
 
 
 class RotaryEmbedding:
-    """Precomputed cos/sin tables for rotary position encoding.
+    """Precomputed ``[max_positions, head_dim]`` tables for :func:`apply_rope`:
+    ``cos`` repeats each pair's cosine, ``sin`` interleaves ``(-sin, +sin)``.
 
     ``head_dim`` must be even; positions up to ``max_positions`` are cached.
     """
@@ -22,8 +33,8 @@ class RotaryEmbedding:
         self.max_positions = max_positions
         inv_freq = 1.0 / (base ** (np.arange(0, head_dim, 2) / head_dim))
         angles = np.outer(np.arange(max_positions), inv_freq)  # [T, D/2]
-        self.cos = np.cos(angles)
-        self.sin = np.sin(angles)
+        self.cos = np.repeat(np.cos(angles), 2, axis=-1)
+        self.sin = np.repeat(np.sin(angles), 2, axis=-1) * np.tile([-1.0, 1.0], head_dim // 2)
 
     def tables_for(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         positions = np.asarray(positions, dtype=np.int64)
@@ -36,20 +47,19 @@ class RotaryEmbedding:
 
 
 def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate query/key vectors.
+    """Rotate query/key vectors: ``x * cos + swap(x) * sin``.
 
     Parameters
     ----------
     x : [..., T, head_dim] array (pairs ``(x[2i], x[2i+1])`` are rotated).
-    cos, sin : [T, head_dim/2] tables for the absolute positions of the T steps.
+    cos, sin : [T, head_dim] rows of :class:`RotaryEmbedding`'s tables.
 
-    The rotation is norm-preserving per pair, a property the tests verify.
-    A floating ``x`` keeps its dtype.
+    ``swap`` exchanges each pair, so ``out[2i] = x[2i] cos_i - x[2i+1] sin_i``
+    and ``out[2i+1] = x[2i+1] cos_i + x[2i] sin_i`` — the even/odd rotation
+    bit for bit, and :func:`~repro.nn.transformer.rope_constants`' map.
+    Norm-preserving per pair, in the wider of ``x``'s and the tables' dtypes.
     """
     x = as_float(x)
-    x_even = x[..., 0::2]
-    x_odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x_even * cos - x_odd * sin
-    out[..., 1::2] = x_even * sin + x_odd * cos
+    out = x * cos
+    out += x.take(pair_swap(x.shape[-1]), axis=-1) * sin
     return out

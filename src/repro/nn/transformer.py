@@ -24,7 +24,7 @@ import numpy as np
 from repro.nn.attention import INFERENCE_DTYPE, CausalSelfAttention, KVCache
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Embedding, Linear, Module, RMSNorm, SwiGLU
-from repro.nn.rope import RotaryEmbedding, apply_rope
+from repro.nn.rope import RotaryEmbedding, apply_rope, pair_swap
 
 __all__ = [
     "TransformerConfig", "TinyTransformerLM", "TrainableTransformerLM",
@@ -37,24 +37,15 @@ def rope_constants(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RoPE as three constant arrays usable inside the autograd tape.
 
-    :func:`~repro.nn.rope.apply_rope` rotates interleaved pairs:
-    ``out[2i] = x[2i] cos_i - x[2i+1] sin_i`` and
-    ``out[2i+1] = x[2i] sin_i + x[2i+1] cos_i``.  The same map is expressible
-    with ops the tape already differentiates as ``x * C + (x @ P) * S`` where
-    ``C``/``S`` are the cos/sin tables expanded to ``[T, head_dim]``
-    (each pair's value duplicated) and ``P`` is the signed pair-swap
-    permutation ``P[2i+1, 2i] = -1, P[2i, 2i+1] = +1``.  Because ``x @ P``
-    only permutes and negates, the arithmetic matches ``apply_rope`` exactly
+    :func:`~repro.nn.rope.apply_rope` is ``x * C + swap(x) * S`` over
+    :class:`~repro.nn.rope.RotaryEmbedding`'s ``[T, head_dim]`` tables
+    ``C``/``S``; the tape writes the swap as ``x @ P`` with ``P`` the
+    pair-swap permutation (``P[2i+1, 2i] = P[2i, 2i+1] = 1``).  Because
+    ``x @ P`` only permutes, the arithmetic matches ``apply_rope`` exactly
     — the property the weight exporter relies on.
     """
     table = RotaryEmbedding(head_dim, max_positions=max_positions)
-    cos = np.repeat(table.cos, 2, axis=-1)  # [T, head_dim]
-    sin = np.repeat(table.sin, 2, axis=-1)
-    perm = np.zeros((head_dim, head_dim))
-    even = np.arange(0, head_dim, 2)
-    perm[even + 1, even] = -1.0
-    perm[even, even + 1] = 1.0
-    return cos, sin, perm
+    return table.cos, table.sin, np.eye(head_dim)[pair_swap(head_dim)]
 
 
 @dataclass(frozen=True)
@@ -151,6 +142,8 @@ class TinyTransformerLM:
             _DecoderLayer(cfg, np.random.default_rng(rng.integers(2**31)))
             for _ in range(cfg.n_layers)
         ]
+        for block in self.layers[1:]:  # one geometry, so one rotation table
+            block.attn.rope = self.layers[0].attn.rope
         self.final_norm = RMSNorm(cfg.dim)
         self.lm_head_weight = rng.normal(0.0, emb_scale, size=(cfg.dim, cfg.vocab_size))
         self.refresh_stacked_weights()
@@ -169,6 +162,9 @@ class TinyTransformerLM:
         ``lm_head_rows`` is the LM head transposed to ``[V, dim]`` so the
         speculative slice gathers contiguous rows.
         """
+        # One eps for every norm: the exit check's unit rows feed kv_fill.
+        if any(block.attn_norm.eps != self.final_norm.eps for block in self.layers):
+            raise ValueError("every attention norm must share the final norm's eps")
         self.embedding, self.lm_head_weight = _cast(self.embedding), _cast(self.lm_head_weight)
         self.final_norm.weight.data = _cast(self.final_norm.weight.data)
         for block in self.layers:
@@ -218,32 +214,33 @@ class TinyTransformerLM:
         first_layers: Sequence[int],
         caches: Sequence[KVCache],
         positions: np.ndarray,
+        unit: Optional[np.ndarray] = None,
     ) -> None:
         """The early-exit KV fill: row ``i`` of ``hidden`` ([B, dim]) exited
         before layer ``first_layers[i]``, and every layer from there on gets
         K/V projected from that same exit activation at ``positions[i]``.
 
         No attention, no output projection, no FFN — and because all skipped
-        layers read one hidden at one position, the RMS normalisation runs
-        once, the per-layer norm gains and K/V weights apply as one stacked
-        matmul, one rotation covers every layer's keys, and each cache takes
-        its layers in one slice append.
+        layers read one hidden at one position, the rows are RMS-normalised
+        once (or arrive normalised as ``unit``, from the exit check), the
+        per-layer norm gains and K/V weights apply as one stacked matmul, one
+        rotation covers every layer's keys, and each cache takes its layers
+        in one slice append.
         """
         lo = min(first_layers)
-        attn, norm = self.layers[lo].attn, self.layers[lo].attn_norm
-        kv_dim = attn.n_kv_heads * attn.head_dim
-        # RMSNorm.forward_np's arithmetic, with the gain applied per layer.
-        ms = np.add.reduce(hidden * hidden, axis=-1, keepdims=True) / hidden.shape[-1]
-        x = hidden / np.sqrt(ms + norm.eps)
+        attn = self.layers[lo].attn
+        x = self.layers[lo].attn_norm.unit(hidden) if unit is None else unit
         kv = np.matmul(x * self._attn_gains[lo:, None, :],
-                       self._wqkv[lo:, :, -2 * kv_dim:])
-        shape = (self.cfg.n_layers - lo, len(caches), attn.n_kv_heads, attn.head_dim)
-        cos, sin = attn.rope.tables_for(positions)  # [B, head_dim/2]
-        k = apply_rope(kv[..., :kv_dim].reshape(shape), cos[:, None, :], sin[:, None, :])
-        v = kv[..., kv_dim:].reshape(shape)
+                       self._wqkv[lo:, :, -2 * attn.n_kv_heads * attn.head_dim:])
+        # [layer, row, K|V, head, head_dim]
+        kv = kv.reshape(self.cfg.n_layers - lo, len(caches), 2, attn.n_kv_heads, attn.head_dim)
+        # The layers that ran at these positions validated them already.
+        rope = attn.rope
+        k = apply_rope(kv[:, :, 0], rope.cos.take(positions, 0)[:, None],
+                       rope.sin.take(positions, 0)[:, None])
         for i, cache in enumerate(caches):
             first = first_layers[i]
-            cache.append_layers(first, k[first - lo:, i], v[first - lo:, i])
+            cache.append_layers(first, k[first - lo:, i], kv[first - lo:, i, 1])
 
     def lm_head(self, hidden: np.ndarray) -> np.ndarray:
         return self.final_norm.forward_np(hidden) @ self.lm_head_weight

@@ -57,17 +57,16 @@ class DistilledNGramDraft:
             order: {} for order in self.orders
         }
         self.global_counts: Counter = Counter()
-        # Each counter's tokens, most-supported first, ranked on first use:
-        # the tables are frozen once distilled, so :meth:`propose` sorts a
-        # context window once, not once per token.  Keyed by window (``()``
-        # is the global table); :meth:`_record` clears it.
-        self._ranked: Dict[Tuple[int, ...], List[int]] = {}
+        # Proposals, ranked on first use (the tables are frozen once
+        # distilled) under the context's longest observed window — at most
+        # one entry per table window, plus ``()``; :meth:`_record` clears it.
+        self._proposals: Dict[Tuple[int, ...], List[int]] = {}
         self._hits = 0
         self._events = 0
 
     # -- fitting -------------------------------------------------------------
     def _record(self, context: Sequence[int], token: int) -> None:
-        self._ranked.clear()
+        self._proposals.clear()
         self._events += 1
         if self.is_hit(context):
             self._hits += 1
@@ -135,7 +134,7 @@ class DistilledNGramDraft:
         order = self.orders[0]
         if len(context) < order:
             return False
-        return tuple(int(t) for t in context[-order:]) in self.tables[order]
+        return tuple(map(int, context[-order:])) in self.tables[order]
 
     def propose(self, context: Sequence[int]) -> List[int]:
         """``k`` candidate next tokens, most-supported first.
@@ -143,20 +142,26 @@ class DistilledNGramDraft:
         Candidates come from the deepest observed window's counts, backing
         off through shorter windows and the global frequency table; padded
         with unseen token ids if the tables cannot fill ``k`` slots.
+        An unobserved tail backs off exactly as its one-shorter suffix does,
+        so the answer is memoised under the longest observed suffix.
         """
+        key = tuple(map(int, context[-self.orders[0]:]))
+        while key and not self.tables.get(len(key), {}).get(key):
+            key = key[1:]
+        out = self._proposals.get(key)
+        if out is None:
+            out = self._proposals[key] = self._rank(key)
+        return list(out)
+
+    def _rank(self, tail: Tuple[int, ...]) -> List[int]:
+        """:meth:`propose` for a context ending in ``tail`` and no longer."""
         out: List[int] = []
-        tail = tuple(int(t) for t in context[-self.orders[0]:])
-        windows = [tail[-order:] for order in self.orders if len(context) >= order]
+        windows = [tail[-order:] for order in self.orders if len(tail) >= order]
         for window in windows + [()]:
-            ranked = self._ranked.get(window)
-            if ranked is None:
-                counter = (self.tables[len(window)].get(window) if window
-                           else self.global_counts)
-                if not counter:
-                    continue
-                ranked = self._ranked[window] = [token for token, _ in sorted(
-                    counter.items(), key=lambda kv: (-kv[1], kv[0]))]
-            for token in ranked:
+            counter = self.tables[len(window)].get(window) if window else self.global_counts
+            if not counter:
+                continue
+            for token, _ in sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])):
                 if token not in out:
                     out.append(token)
                     if len(out) == self.k:

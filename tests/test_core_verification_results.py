@@ -8,8 +8,7 @@ import pytest
 from repro.config import SimDims
 from repro.core.engine import GenerationResult, StepRecord
 from repro.core.spec_engine import IterationRecord, SpecDecodeResult
-from repro.core.verification import verify_exit, verify_exits
-from repro.hardware.ledger import CostLedger
+from repro.core.verification import verify_exits
 from repro.model.profiles import get_profile
 from repro.model.synthetic import SyntheticLayeredLM
 
@@ -19,14 +18,27 @@ def lm():
     return SyntheticLayeredLM(get_profile("llama2-7b"), SimDims(), seed=13)
 
 
+def verify_exit(lm, hidden, candidates):
+    """``verify_exits`` on one row against an unpadded draft: (ok, token)."""
+    cand = np.asarray([candidates])
+    ok, tokens = verify_exits(lm, np.asarray(hidden)[None], cand, np.zeros(cand.shape, bool))
+    return bool(ok[0]), int(tokens[0])
+
+
+def verify_reference(lm, hidden, candidates):
+    """The rule itself, row by row: the full head's argmax, and whether the
+    draft holds it."""
+    token = int(np.argmax(lm.lm_head_full(hidden)))
+    return token in list(candidates), token
+
+
 class TestVerifyExit:
     def test_accepts_argmax_in_set(self, lm):
         state = lm.start([2, 2, 2])
         lm.begin_step(state)
         target = state.plan.target
         hidden = lm.run_to_layer(state, lm.n_layers - 1)  # fully saturated
-        verdict = verify_exit(lm, hidden, [target, 5, 6, 7])
-        assert verdict.ok and verdict.token == target
+        assert verify_exit(lm, hidden, [target, 5, 6, 7]) == (True, target)
 
     def test_rejects_argmax_outside_set(self, lm):
         state = lm.start([3, 3, 3])
@@ -34,9 +46,8 @@ class TestVerifyExit:
         target = state.plan.target
         hidden = lm.run_to_layer(state, lm.n_layers - 1)
         candidates = [t for t in (5, 6, 7, 8) if t != target]
-        verdict = verify_exit(lm, hidden, candidates)
-        assert not verdict.ok
-        assert verdict.token == target  # it still reports the global argmax
+        # It still reports the global argmax.
+        assert verify_exit(lm, hidden, candidates) == (False, target)
 
     def test_pre_saturation_argmax_is_dominant(self, lm):
         state = lm.start([4, 4, 4])
@@ -44,9 +55,7 @@ class TestVerifyExit:
         plan = state.plan
         if plan.saturation_layer > 8 and plan.transient is None:
             hidden = lm.run_to_layer(state, 2)
-            verdict = verify_exit(lm, hidden, [plan.target])
-            assert not verdict.ok
-            assert verdict.token == plan.dominant
+            assert verify_exit(lm, hidden, [plan.target]) == (False, plan.dominant)
 
     def test_batched_verify_equals_per_row(self, lm):
         """One full-head GEMM over the rows, each checked against its own
@@ -68,7 +77,7 @@ class TestVerifyExit:
         pad = np.arange(4) >= np.asarray(draft_lens)[:, None]
         ok, tokens = verify_exits(lm, hidden, cand, pad)
         assert [(bool(o), int(t)) for o, t in zip(ok, tokens)] == [
-            tuple(verify_exit(lm, h, c[:d]))
+            verify_reference(lm, h, c[:d])
             for h, c, d in zip(hidden, candidates, draft_lens)]
         assert ok.tolist() == [row % 3 == 0 for row in range(12)]
         assert tokens.tolist() == argmax.tolist()

@@ -154,6 +154,19 @@ class TestTransformerBackend:
         backend.commit(state, 0, backend.n_layers - 1)
 
 
+def greedy_step_batch(model, states, exits):
+    """Greedy-decode one token per state, state ``i`` exiting after layer
+    ``exits[i]``: the batched primitives, each state leaving the batch as
+    the depth passes its exit, then one full-head argmax per row."""
+    hidden = model.begin_step_batch(states)
+    for layer in range(max(exits) + 1):
+        idx = [i for i, e in enumerate(exits) if e >= layer]
+        hidden[idx] = model.layer_forward_batch([states[i] for i in idx], layer, hidden[idx])
+    tokens = [int(t) for t in np.argmax(model.lm_head_full_batch(hidden), axis=-1)]
+    model.commit_batch(states, tokens, exits)
+    return tokens
+
+
 class TestTransformerBatchedDecode:
     CFG = TransformerConfig(vocab_size=64, dim=32, n_layers=3, n_heads=4,
                             intermediate_dim=48, max_positions=128)
@@ -172,7 +185,7 @@ class TestTransformerBatchedDecode:
         rng = np.random.default_rng(5)
         for _ in range(10):
             exits = [int(rng.integers(0, self.CFG.n_layers)) for _ in prompts]
-            tokens_b = batched.step_batch(states_b, exits)
+            tokens_b = greedy_step_batch(batched, states_b, exits)
             tokens_s = []
             for state, exit_layer in zip(states_s, exits):
                 scalar.begin_step(state)
@@ -185,19 +198,10 @@ class TestTransformerBatchedDecode:
     def test_step_batch_fills_kv_for_skipped_layers(self):
         backend, _ = self.fresh_pair()
         states = [backend.start([3, 1]), backend.start([9, 9, 9])]
-        backend.step_batch(states, [0, backend.n_layers - 1])
+        greedy_step_batch(backend, states, [0, backend.n_layers - 1])
         for state in states:
             for layer in range(backend.n_layers):
                 assert state.cache.length(layer) == len(state.context)
-
-    def test_step_batch_validates_inputs(self):
-        backend, _ = self.fresh_pair()
-        states = [backend.start([1, 2])]
-        with pytest.raises(ValueError):
-            backend.step_batch(states, [0, 1])  # length mismatch
-        with pytest.raises(ValueError):
-            backend.step_batch(states, [backend.n_layers])  # out of range
-        assert backend.step_batch([], []) == []
 
     def test_layer_forward_batch_enforces_order(self):
         backend, _ = self.fresh_pair()
@@ -218,7 +222,117 @@ class TestTransformerBatchedDecode:
         for step in range(8):
             exits = [1, 2, 0]
             live = trio if step < 4 else trio[:2]  # third retires mid-run
-            tokens = batched.step_batch(live, exits[: len(live)])
+            tokens = greedy_step_batch(batched, live, exits[: len(live)])
             kept_tokens.append(tokens[:2])
-            pair_tokens.append(scalar.step_batch(pair, exits[:2]))
+            pair_tokens.append(greedy_step_batch(scalar, pair, exits[:2]))
         assert kept_tokens == pair_tokens
+
+
+class TestSharedExitNorm:
+    """The exit check normalises a checked row once: the speculative slice,
+    the verify and the early-exit KV fill all read that one unit-RMS row,
+    and give exactly what the uncached arithmetic gives."""
+
+    CFGS = [TransformerConfig(vocab_size=64, dim=32, n_layers=4, n_heads=4,
+                              intermediate_dim=48, max_positions=64),
+            TransformerConfig(vocab_size=64, dim=32, n_layers=4, n_heads=4, n_kv_heads=2,
+                              intermediate_dim=48, max_positions=64)]
+
+    @staticmethod
+    def spied(cfg):
+        """A propagate-mode model whose fills log whether they got ``u``."""
+        model = TransformerLayeredLM(cfg, seed=2, max_tokens=64, kv_fill="propagate")
+        rng = np.random.default_rng(5)  # gains other than one, so u * g != u
+        for norm in [model.lm.final_norm] + [block.attn_norm for block in model.lm.layers]:
+            norm.weight.data = rng.uniform(0.5, 1.5, cfg.dim)
+        model.lm.refresh_stacked_weights()
+        fill, model.got_unit = model.lm.kv_fill, []
+
+        def kv_fill(hidden, firsts, caches, positions, unit=None):
+            model.got_unit.append(unit is not None)
+            fill(hidden, firsts, caches, positions, unit)
+
+        model.lm.kv_fill = kv_fill
+        return model
+
+    @staticmethod
+    def kv_bytes(state, n_layers):
+        return [x.tobytes() for layer in range(n_layers) for x in state.cache.view(layer)]
+
+    @pytest.mark.parametrize("cfg", CFGS)
+    def test_fill_from_the_checks_u_writes_the_hiddens_kv(self, cfg):
+        """``commit`` and a one-row ``commit_batch`` after a checked exit
+        fill from the check's ``u``; an unchecked exit and
+        ``recompute_state``'s replay fill from the hidden — the same bytes."""
+        model, ids = self.spied(cfg), [3, 9, 17, 40]
+        checked, batched, plain = (model.start([5, 1, 7]) for _ in range(3))
+        for step in range(2 * (cfg.n_layers - 1)):
+            exit_layer = step % (cfg.n_layers - 1)
+            model.begin_step(checked)
+            for layer in range(exit_layer + 1):
+                h = model.layer_forward(checked, layer)
+                model.lm_head_slice(h, ids)
+            token = int(model.lm_head_full(h).argmax())
+            model.commit(checked, token, exit_layer)
+            model.begin_step_batch([batched])
+            for layer in range(exit_layer + 1):
+                h = model.layer_forward_batch([batched], layer)
+                model.lm_head_slice_batch(h, np.asarray([ids]))
+            model.commit_batch([batched], [token], [exit_layer])
+            model.begin_step(plain)
+            model.run_to_layer(plain, exit_layer)
+            model.commit(plain, token, exit_layer)
+            assert model.got_unit[-3:] == [True, True, False]
+        want = self.kv_bytes(plain, cfg.n_layers)
+        assert self.kv_bytes(checked, cfg.n_layers) == want
+        assert self.kv_bytes(batched, cfg.n_layers) == want
+        model.drop_state_kv(checked)
+        model.recompute_state(checked)
+        assert self.kv_bytes(checked, cfg.n_layers) == want
+
+    @pytest.mark.parametrize("cfg", CFGS)
+    def test_slice_and_verify_equal_the_uncached_head(self, cfg):
+        model = TransformerLayeredLM(cfg, seed=2, max_tokens=64)
+        lm, rng = model.lm, np.random.default_rng(4)
+        state = model.start([2, 8, 6])
+        model.begin_step(state)
+        for layer in range(cfg.n_layers):
+            h = model.layer_forward(state, layer)
+            ids = rng.choice(cfg.vocab_size, 4, replace=False).tolist()
+            assert np.array_equal(model.lm_head_slice(h, ids), lm.lm_head_slice(h, ids))
+            assert np.array_equal(model.lm_head_full(h), lm.lm_head(h))
+        # Another array is normalised afresh, not served the cached row.
+        assert np.array_equal(model.lm_head_full(2 * h), lm.lm_head(2 * h))
+        states = [model.start(rng.integers(0, 64, 3).tolist()) for _ in range(5)]
+        model.begin_step_batch(states)
+        for layer in range(cfg.n_layers):
+            h = model.layer_forward_batch(states, layer)
+            cand = np.stack([rng.choice(cfg.vocab_size, 4, replace=False) for _ in states])
+            local = model.lm_head_slice_batch(h, cand)
+            for i in range(len(states)):
+                assert np.array_equal(local[i], lm.lm_head_slice(h[i], cand[i]))
+            fired = rng.random(len(states)) < 0.5
+            assert np.array_equal(model.lm_head_full_batch(h[fired]), lm.lm_head(h[fired]))
+            assert np.array_equal(model.lm_head_full_batch(h), lm.lm_head(h))
+
+    def test_a_new_step_reads_refreshed_weights(self):
+        """The caches last one step: weights replaced between steps are
+        what the next step's slice reads."""
+        model = TransformerLayeredLM(self.CFGS[0], seed=2, max_tokens=64)
+        state, ids = model.start([1, 2]), [4, 5, 6]
+        model.begin_step(state)
+        model.lm_head_slice(model.layer_forward(state, 0), ids)
+        model.lm.lm_head_weight = 2 * model.lm.lm_head_weight
+        model.lm.refresh_stacked_weights()
+        model.commit(state, 1, 0)
+        model.begin_step(state)
+        h = model.layer_forward(state, 0)
+        assert np.array_equal(model.lm_head_slice(h, ids), model.lm.lm_head_slice(h, ids))
+
+    def test_refresh_rejects_norms_of_another_eps(self):
+        """The fill multiplies the final norm's unit row by the attention
+        gains, which is only the attention norm when the eps agree."""
+        model = TransformerLayeredLM(self.CFGS[0], seed=2, max_tokens=64)
+        model.lm.layers[1].attn_norm.eps = 1e-5
+        with pytest.raises(ValueError, match="eps"):
+            model.lm.refresh_stacked_weights()

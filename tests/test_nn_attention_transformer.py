@@ -77,6 +77,34 @@ class TestKVCache:
             ragged.append_layers(0, kv, kv)
         assert [ragged.length(layer) for layer in range(2)] == [0, 1]
 
+    def test_append_rejects_a_broadcastable_shape(self):
+        """One head's ``[1, 1, 8]`` keys used to be copied into all four
+        heads' slots; a mis-shaped K/V now raises, naming the shape wanted,
+        and the cache is left as it was."""
+        cache = KVCache(2, 4, 8, 16)
+        good = np.ones((4, 1, 8))
+        for k, v in ((np.ones((1, 1, 8)), good), (good, np.ones((4, 1, 1))),
+                     (np.ones((4, 8)), np.ones((4, 8))), (good, np.ones((4, 2, 8)))):
+            with pytest.raises(ValueError, match=r"expected \(4, \d, 8\)"):
+                cache.append(0, k, v)
+        assert cache.length(0) == 0
+        cache.append(0, good, good)
+        assert cache.length(0) == 1
+
+    def test_append_layers_rejects_one_layers_row(self):
+        """``append_layers(0, ...)`` given one layer's ``[1, 4, 8]`` row used
+        to write it into every remaining layer; it now raises."""
+        cache = KVCache(2, 4, 8, 16)
+        row, both = np.ones((1, 4, 8)), np.ones((2, 4, 8))
+        for k, v in ((row, row), (both, row), (both, np.ones((2, 1, 8))),
+                     (np.ones((4, 8)), np.ones((4, 8)))):
+            with pytest.raises(ValueError, match=r"expected \(2, 4, 8\)"):
+                cache.append_layers(0, k, v)
+        assert [cache.length(layer) for layer in range(2)] == [0, 0]
+        cache.append_layers(0, both, both)
+        cache.append_layers(1, row, row)
+        assert [cache.length(layer) for layer in range(2)] == [1, 2]
+
     def test_nbytes_positive(self):
         assert KVCache(2, 2, 4, 8).nbytes() > 0
 

@@ -8,7 +8,7 @@ from repro.nn.attention import INFERENCE_DTYPE
 from repro.nn.autograd import Tensor
 from repro.nn.layers import Embedding, Linear, RMSNorm, SwiGLU
 from repro.nn.rope import RotaryEmbedding, apply_rope
-from repro.nn.transformer import TinyTransformerLM, TransformerConfig
+from repro.nn.transformer import TinyTransformerLM, TransformerConfig, rope_constants
 from repro.utils.mathx import softmax
 
 
@@ -142,7 +142,8 @@ class TestTrimsAreBitIdentical:
             want = x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + norm.eps) * norm.weight.data
             got = norm.forward_np(x)
             assert got.dtype == dtype and np.array_equal(got, want)
-            assert np.array_equal(norm.forward_np(x[0]), want[0])
+            for row in range(0, rows, rows // 64):  # a lone row takes scalar math
+                assert np.array_equal(norm.forward_np(x[row]), want[row])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_softmax_equals_the_max_sum_form(self, dtype):
@@ -195,3 +196,40 @@ class TestTrimsAreBitIdentical:
         keys = apply_rope((x @ attn.wqkv)[:, 32:48].reshape(3, 2, 8), cos, sin)
         for i, cache in enumerate(caches):
             assert np.array_equal(cache.view(0)[0][:, 0], keys[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           batch=st.sampled_from([1, 2, 5, 16]),
+           heads=st.sampled_from([(4, 4), (4, 2), (8, 1), (1, 1)]),
+           half=st.sampled_from([1, 4, 16]),
+           seed=st.integers(0, 2**16))
+    def test_pair_swap_rotation_equals_even_odd_and_rope_constants(
+            self, dtype, batch, heads, half, seed):
+        """``apply_rope``'s ``x * C + swap(x) * S`` is the even/odd pair
+        rotation, and the training stack's ``x * C + (x @ P) * S`` from
+        :func:`rope_constants`, bit for bit — over a decode batch's Q|K heads
+        (GQA included) at positions up to the table's last row."""
+        head_dim, max_positions = 2 * half, 48
+        rng = np.random.default_rng(seed)
+        rope = RotaryEmbedding(head_dim, max_positions=max_positions)
+        cos_t, sin_t = rope.cos.astype(dtype), rope.sin.astype(dtype)
+        positions = rng.integers(0, max_positions, batch)
+        positions[0] = max_positions - 1
+        x = (rng.standard_normal((batch, sum(heads), head_dim))
+             * np.logspace(-3, 3, batch)[:, None, None]).astype(dtype)
+        cos, sin = cos_t[positions][:, None], sin_t[positions][:, None]
+        got = apply_rope(x, cos, sin)
+        # The even/odd form, from the per-pair angles the tables hold.
+        c, s = cos[..., 0::2], sin[..., 1::2]
+        want = np.empty_like(x)
+        want[..., 0::2] = x[..., 0::2] * c - x[..., 1::2] * s
+        want[..., 1::2] = x[..., 0::2] * s + x[..., 1::2] * c
+        assert got.dtype == dtype and np.array_equal(got, want)
+        angles = np.outer(np.arange(max_positions),
+                          1.0 / (10000.0 ** (np.arange(0, head_dim, 2) / head_dim)))
+        assert np.array_equal(rope.cos[:, 0::2], np.cos(angles))
+        assert np.array_equal(rope.sin[:, 1::2], np.sin(angles))
+        assert np.array_equal(-sin[..., 0::2], s)
+        big_c, big_s, perm = (t.astype(dtype) for t in rope_constants(head_dim, max_positions))
+        tape = x * big_c[positions][:, None] + (x @ perm) * big_s[positions][:, None]
+        assert np.array_equal(tape, got)

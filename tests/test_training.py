@@ -3,6 +3,7 @@ draft distillation, and the trained rig actually firing verified exits."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SpecEEConfig
 from repro.core.predictor_training import harvest_training_corpus
@@ -230,6 +231,51 @@ class TestDistilledNGramDraft:
         draft._record([5, 6], 9)
         assert draft.propose([5, 6]) == [9, 8]
         assert draft.propose([4, 4]) == [9, 8]  # global backoff re-ranked too
+
+    @staticmethod
+    def ranked(draft, context):
+        """The proposal ranked from scratch: deepest observed window first,
+        backing off to the global table, padded with the lowest unused ids."""
+        out, tail = [], tuple(int(t) for t in context[-draft.orders[0]:])
+        windows = [tail[-order:] for order in draft.orders if len(context) >= order]
+        for window in windows + [()]:
+            counter = draft.tables[len(window)].get(window) if window else draft.global_counts
+            for token, _ in sorted((counter or {}).items(), key=lambda kv: (-kv[1], kv[0])):
+                if token not in out:
+                    out.append(token)
+        pad = [t for t in range(draft.k + len(out)) if t not in out]
+        return (out + pad)[: draft.k]
+
+    @settings(max_examples=60, deadline=None)
+    @given(orders=st.sampled_from([(3, 2, 1), (2, 1), (3, 1), (2,)]),
+           k=st.integers(1, 5),
+           events=st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=4),
+                                     st.integers(0, 7)), max_size=40),
+           contexts=st.lists(st.lists(st.integers(0, 5), max_size=5), min_size=1, max_size=12),
+           draft_len=st.integers(1, 5), token=st.integers(8, 11))
+    def test_memoised_propose_equals_the_ranking(self, orders, k, events, contexts,
+                                                 draft_len, token):
+        """Over random tables (skipped orders included) and contexts
+        shorter than the top order: every answer, served again from the memo
+        or cut to a shortened draft, is the from-scratch ranking; a
+        ``_record`` after a lookup changes the answer it affects."""
+        draft = DistilledNGramDraft(32, k=k, orders=orders)
+        for context, nxt in events:
+            draft._record(context, nxt)
+        seen = [context for context, _ in events]  # their windows are observed
+        for context in 2 * (contexts + seen):
+            got = draft.propose(context)
+            assert got == self.ranked(draft, context)
+            assert got[:draft_len] == self.ranked(draft, context)[:draft_len]
+            got.append(-1)  # the caller's list, not the memo's
+        # Bounded like the tables: one entry per observed window, plus ().
+        assert all(key == () or key in draft.tables[len(key)] for key in draft._proposals)
+        context = contexts[0]
+        first = draft.propose(context)[0]
+        for _ in range(len(events) + 1):
+            draft._record(context, token)
+        assert draft.propose(context) == self.ranked(draft, context)
+        assert draft.propose(context)[0] == token != first
 
     def test_propose_pads_with_token_ids_when_empty(self):
         draft = DistilledNGramDraft(32, k=4)
